@@ -18,6 +18,7 @@ import numpy as np
 from repro.backends.base import GateRecord, SimulationResult, Simulator
 from repro.backends.gatecache import GateDDCache
 from repro.circuits.circuit import Circuit
+from repro.common.config import GC_THRESHOLD
 from repro.dd.operations import mm_multiply, mv_multiply
 from repro.dd.package import DDPackage
 from repro.dd.vector import node_count, vector_to_array, zero_state
@@ -30,7 +31,7 @@ __all__ = ["DDMatrixSimulator"]
 class DDMatrixSimulator(Simulator):
     """Accumulate the whole circuit as one DD operator, then apply it."""
 
-    GC_THRESHOLD = 200_000
+    GC_THRESHOLD = GC_THRESHOLD
 
     def __init__(self) -> None:
         self.name = "ddmm"

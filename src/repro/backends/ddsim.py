@@ -19,6 +19,7 @@ import numpy as np
 from repro.backends.base import GateRecord, SimulationResult, Simulator
 from repro.backends.gatecache import GateDDCache
 from repro.circuits.circuit import Circuit
+from repro.common.config import GC_THRESHOLD
 from repro.dd.operations import mv_multiply
 from repro.dd.package import DDPackage
 from repro.dd.vector import node_count, vector_to_array, zero_state
@@ -34,7 +35,7 @@ class DDSimulator(Simulator):
     """DDSIM-equivalent: sequential DD-based strong simulation."""
 
     #: Run garbage collection when the unique tables exceed this many nodes.
-    GC_THRESHOLD = 200_000
+    GC_THRESHOLD = GC_THRESHOLD
 
     def __init__(self, gc_threshold: int | None = None) -> None:
         self.name = "ddsim"

@@ -95,9 +95,7 @@ def _make_simulator(args: argparse.Namespace):
             threads=args.threads,
             fusion=args.fusion,
             memory_budget_bytes=getattr(args, "memory_budget", None),
-            plan_cache=not getattr(args, "no_plan_cache", False),
             force_convert_at=getattr(args, "force_convert_at", None),
-            identity_skip=not getattr(args, "no_identity_skip", False),
             qubit_order=getattr(args, "qubit_order", "natural"),
         )
     if args.backend == "ddsim":
@@ -124,10 +122,6 @@ def _add_dd_shrink_args(p: argparse.ArgumentParser) -> None:
                         "qubits adjacent; 'sift' refines that order by "
                         "local search; conversion restores canonical "
                         "amplitude order (docs/PERFORMANCE.md)")
-    p.add_argument("--no-identity-skip", action="store_true",
-                   help="build full-height gate DDs instead of "
-                        "identity-skipped windows (flatdd only; "
-                        "bit-identical performance ablation)")
 
 
 def cmd_families(args: argparse.Namespace) -> int:
@@ -266,7 +260,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fusion=args.fusion,
         memory_budget_bytes=args.memory_budget,
         force_convert_at=args.force_convert_at,
-        identity_skip=not args.no_identity_skip,
         qubit_order=args.qubit_order,
     )
     _log.info(
@@ -764,10 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(open in Perfetto / chrome://tracing)")
     p.add_argument("--profile", action="store_true",
                    help="print a per-phase timing breakdown")
-    p.add_argument("--no-plan-cache", action="store_true",
-                   help="disable the DMAV plan compiler / buffer arena "
-                        "(flatdd only; bit-identical performance "
-                        "ablation)")
     _add_dd_shrink_args(p)
     p.add_argument("--force-convert-at", type=int, default=None,
                    metavar="GATE",

@@ -44,6 +44,11 @@ DEFAULT_THREADS: int = 4
 #: spans 2**(l+1) amplitudes, so level 5 means 64-element blocks.
 DENSE_BLOCK_LEVEL: int = 5
 
+#: Unique-table node count past which the DD simulators (FlatDD's DD phase,
+#: DDSIM, DDMM) garbage-collect between gates.  Simulators copy it into a
+#: ``GC_THRESHOLD`` class attribute that an instance may override.
+GC_THRESHOLD: int = 200_000
+
 # ---------------------------------------------------------------------------
 # Memory-model constants (bytes), used by repro.metrics.memory to reproduce
 # the paper's RSS comparison analytically (DESIGN.md substitution 5). Sizes
@@ -88,14 +93,6 @@ class FlatDDConfig:
     #: If False, thread tasks run inline (deterministic, used by tests);
     #: if True they run on a ThreadPoolExecutor.
     use_thread_pool: bool = False
-    #: Compile each gate DD's DMAV work (cost verdict, task partitions,
-    #: buffer/writer layout) once via :class:`repro.core.plan.PlanCache`
-    #: and run the array phase out of a persistent
-    #: :class:`repro.parallel.arena.BufferArena` instead of re-deriving
-    #: and re-allocating per gate.  Bit-identical to the unplanned hot
-    #: loop (execution-only knob); False is the ``--no-plan-cache``
-    #: performance ablation.
-    plan_cache: bool = True
     #: Deterministic conversion override for testing/verification: ``None``
     #: keeps the EWMA trigger; an int forces DD-to-array conversion right
     #: after that gate index (0 = convert after the first gate).  An index
@@ -104,15 +101,6 @@ class FlatDDConfig:
     #: this to check that early/late conversion points are semantically
     #: equivalent.
     force_convert_at: int | None = None
-    #: Build gate DDs over only their active-qubit window and apply them
-    #: with the identity-skipping mv rules (pass-through levels cross
-    #: without node creation or compute-table entries).  Bit-identical to
-    #: the full-height path by construction -- the windowed DD shares its
-    #: window subtree with the wrapped full-height DD and the skip rules
-    #: perform the same arithmetic (``1.0 * x == x``) -- and enforced by
-    #: the ``identity_skip_equivalence`` fuzz oracle, so this is an
-    #: execution-only knob; False is the ``--no-identity-skip`` ablation.
-    identity_skip: bool = True
     #: Variable (qubit) order for the DD phase: "natural" keeps circuit
     #: order; "interaction" places strongly interacting qubits adjacently
     #: (greedy linear arrangement over the qubit-interaction graph);
@@ -162,14 +150,9 @@ class FlatDDConfig:
 #: never the final state -- excluded from the cache-key config digest.
 #: ``memory_budget_bytes`` stays *in* the digest: a guardrail-forced early
 #: conversion changes the conversion point, which is bit-level visible.
-#: ``plan_cache`` is execution-only by construction: the compiled plans
-#: replay the unplanned descents' arithmetic bit-for-bit.
-#: ``identity_skip`` is execution-only the same way: windowed gate DDs
-#: share their window subtree with the wrapped full-height DDs and the
-#: skip rules reproduce the pass-through arithmetic exactly (enforced by
-#: the ``identity_skip_equivalence`` fuzz oracle).  ``qubit_order`` stays
-#: in the digest: permuting the DD phase moves the conversion point.
-_EXECUTION_ONLY_FIELDS = ("use_thread_pool", "plan_cache", "identity_skip")
+#: ``qubit_order`` stays in the digest: permuting the DD phase moves the
+#: conversion point.
+_EXECUTION_ONLY_FIELDS = ("use_thread_pool",)
 
 
 def config_digest(config: "FlatDDConfig | None") -> str:

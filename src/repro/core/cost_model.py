@@ -29,6 +29,7 @@ __all__ = [
     "assign_cache_tasks",
     "CostModel",
     "GateCost",
+    "resolve_use_cache",
 ]
 
 
@@ -184,6 +185,17 @@ class GateCost:
     def cost(self) -> float:
         """min(C1, C2): the cost the scheduler charges this gate."""
         return min(self.cost_nocache, self.cost_cache)
+
+
+def resolve_use_cache(cache_policy: str, cost: GateCost) -> bool:
+    """Apply a ``FlatDDConfig.cache_policy`` to one gate's cost verdict.
+
+    "auto" follows the cost model; "always"/"never" force one DMAV variant
+    (the Figure 14 ablation).
+    """
+    if cache_policy == "auto":
+        return cost.use_cache
+    return cache_policy == "always"
 
 
 class CostModel:

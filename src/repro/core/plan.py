@@ -29,8 +29,8 @@ Two properties make the compiler more than a per-root dict:
   build exactly like the legacy descents multiplied them
   (``((1 * w_root) * w_1) * ... * w_border``).  A planned run therefore
   reproduces the unplanned per-gate partitioning bit-for-bit (signed
-  zeros aside), which is what lets ``--no-plan-cache`` be a pure
-  performance ablation.
+  zeros aside); ``tests/test_dmav.py`` checks planned execution against
+  the unplanned ``dmav_cached`` / ``dmav_nocache`` entry points.
 
 **Invalidation.**  Plans key nodes by ``id()`` and pin them via direct
 references, so a package garbage collection -- which sweeps unique-table

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import logging
 import time
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from repro.backends.base import GateRecord, SimulationResult, Simulator
 from repro.backends.gatecache import GateDDCache
 from repro.circuits.circuit import Circuit
-from repro.common.config import AMPLITUDE_BYTES, FlatDDConfig, config_digest
+from repro.common.config import GC_THRESHOLD, FlatDDConfig, config_digest
 from repro.core.conversion import convert_parallel
-from repro.core.cost_model import CostModel, assign_cache_tasks
+from repro.core.cost_model import CostModel, resolve_use_cache
 from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.core.ewma import EWMAMonitor
 from repro.core.plan import PlanCache
@@ -38,9 +37,10 @@ from repro.core.reorder import (
     unpermute_axes,
 )
 from repro.dd.io import deserialize_vector_dd
+from repro.dd.node import Edge
 from repro.dd.operations import mv_multiply
 from repro.dd.package import DDPackage
-from repro.dd.vector import node_count, vector_to_array, zero_state
+from repro.dd.vector import node_count, zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
 from repro.obs.collect import build_obs
 from repro.obs.metrics import MetricsRegistry
@@ -59,15 +59,180 @@ from repro.resilience.snapshot import (
     write_snapshot,
 )
 
-__all__ = ["FlatDDSimulator"]
+__all__ = ["DDPhase", "FlatDDSimulator", "release_dd_phase", "run_dd_phase"]
 
 _log = logging.getLogger("repro.core.simulator")
+
+
+@dataclass
+class DDPhase:
+    """Where :func:`run_dd_phase` stopped, and what it recorded."""
+
+    state_dd: Edge
+    #: Gate index the conversion trigger fired at; None when it never did
+    #: (the circuit stayed regular, or the deadline cut the phase short).
+    convert_at: int | None = None
+    records: list[GateRecord] = field(default_factory=list)
+    guard_forced: bool = False
+    timed_out: bool = False
+    checkpoints_written: int = 0
+
+
+def run_dd_phase(
+    cfg: FlatDDConfig,
+    pkg: DDPackage,
+    gates: GateDDCache,
+    dd_gates,
+    state_dd: Edge,
+    monitor: EWMAMonitor,
+    meter: MemoryMeter,
+    guard: MemoryGuard,
+    *,
+    start: int = 0,
+    gc_threshold: int = GC_THRESHOLD,
+    tracer=NULL_TRACER,
+    deadline: float | None = None,
+    circuit: Circuit | None = None,
+    checkpoint_every: int | None = None,
+    checkpoint_path: str | None = None,
+    cfg_digest: str | None = None,
+) -> DDPhase:
+    """The DD phase of Figure 3: apply ``dd_gates[start:]`` until triggered.
+
+    Every gate DD is built identity-skipped (windowed) and applied to
+    ``state_dd``; the EWMA monitor sees the state DD's node count, and
+    ``cfg.force_convert_at`` or a ``guard`` breach override its verdict.
+    ``run()`` and the sweep executor both call this, so a sweep group
+    reaches exactly the conversion point and package state of each of
+    its rows' own runs.  The per-gate order -- mv, node count, EWMA,
+    forced override, memory sample, guard, trigger break, checkpoint,
+    GC, deadline -- is part of the bit-identity contract: checkpoint and
+    GC barriers clear history-dependent caches.
+
+    ``checkpoint_every`` writes a DD-phase snapshot of ``circuit`` (the
+    canonical circuit, whose fingerprint pins the snapshot) to
+    ``checkpoint_path`` every that many gates, never after the last one.
+    ``deadline`` is a ``time.perf_counter()`` value.
+    """
+    tracing = tracer.enabled
+    out = DDPhase(state_dd)
+    records = out.records
+    force_at = cfg.force_convert_at
+    total = len(dd_gates)
+    for i, gate in enumerate(dd_gates[start:], start=start):
+        g0 = time.perf_counter()
+        state_dd = mv_multiply(pkg, gates.get(gate, windowed=True), state_dd)
+        size = node_count(state_dd)
+        triggered = monitor.update(size)
+        if force_at is not None:
+            triggered = i == force_at
+        g1 = time.perf_counter()
+        records.append(
+            GateRecord(
+                index=i,
+                name=gate.name,
+                seconds=g1 - g0,
+                phase="dd",
+                dd_size=size,
+            )
+        )
+        if tracing:
+            tracer.record(
+                gate.name, "dd", g0, g1,
+                gate_index=i, dd_size=size, ewma=monitor.value,
+            )
+            tracer.sample("dd_size", size, ts=g1)
+            tracer.sample("ewma", monitor.value, ts=g1)
+        meter.sample(dd_bytes(pkg))
+        if not triggered and guard.check_dd(meter.last_bytes, i):
+            # Budget breach while still in the DD phase: degrade
+            # gracefully by converting to the flat array early.
+            triggered = True
+            out.guard_forced = True
+            if tracing:
+                tracer.instant(
+                    "guard_breach", "dd", ts=g1,
+                    gate_index=i, observed_bytes=meter.last_bytes,
+                    budget_bytes=guard.budget_bytes,
+                )
+            _log.warning(
+                "memory budget breached at gate %d (%d > %d bytes); "
+                "forcing DD-to-array conversion",
+                i, meter.last_bytes, guard.budget_bytes,
+            )
+        if triggered:
+            out.convert_at = i
+            if tracing:
+                tracer.instant(
+                    "ewma_trigger", "dd", ts=g1,
+                    gate_index=i, dd_size=size, ewma=monitor.value,
+                )
+            _log.info(
+                "EWMA triggered at gate %d (dd_size=%d, ewma=%.1f)",
+                i, size, monitor.value,
+            )
+            break
+        if (
+            checkpoint_every is not None
+            and (i + 1) % checkpoint_every == 0
+            and i + 1 < total
+        ):
+            # Barrier *before* the dump: the snapshot must capture the
+            # exact state (unique tables = live state DD, caches cold)
+            # that both the continuation and any resume evolve from.
+            gates.clear()
+            pkg.checkpoint_barrier([state_dd])
+            write_snapshot(
+                checkpoint_path,
+                snapshot_dd_phase(
+                    pkg, state_dd, monitor, i + 1, circuit, cfg_digest
+                ),
+            )
+            out.checkpoints_written += 1
+            if tracing:
+                tracer.instant("checkpoint", "dd", gate_index=i)
+        if pkg.unique_node_count > gc_threshold:
+            removed = pkg.collect_garbage([state_dd, *gates.roots()])
+            if tracing:
+                tracer.instant("gc", "dd", gate_index=i, reclaimed=removed)
+            _log.debug("GC at gate %d reclaimed %d nodes", i, removed)
+        if deadline is not None and time.perf_counter() > deadline:
+            out.timed_out = True
+            break
+    out.state_dd = state_dd
+    return out
+
+
+def release_dd_phase(
+    pkg: DDPackage,
+    gates: GateDDCache,
+    guard: MemoryGuard,
+    barrier: bool = False,
+) -> None:
+    """Package cleanup between conversion and the DMAV-tail gate builds.
+
+    The tail's gate DDs are canonical and full height; their weights
+    depend on the package state they are built in, so ``run()`` and every
+    sweep row must pass through this same step.  ``barrier`` (a run that
+    may write or already read a snapshot) resets every history-dependent
+    cache: an array-phase resume rebuilds the tail in a fresh package, and
+    both sides must build it from the same cold state or fused edges drift
+    by ulps.  Otherwise, under a memory budget, the dead state DD is
+    reclaimed so the degradation actually shrinks the working set
+    (value-neutral: GC only frees dead nodes and clears caches).
+    """
+    gates.drop_windowed()
+    if barrier:
+        gates.clear()
+        pkg.checkpoint_barrier([])
+    elif guard.enabled:
+        pkg.collect_garbage(gates.roots())
 
 
 class FlatDDSimulator(Simulator):
     """Hybrid DD / flat-array simulator with parallel DMAV."""
 
-    GC_THRESHOLD = 200_000
+    GC_THRESHOLD = GC_THRESHOLD
 
     def __init__(self, config: FlatDDConfig | None = None, **overrides) -> None:
         if config is None:
@@ -168,7 +333,6 @@ class FlatDDSimulator(Simulator):
         gates = GateDDCache(pkg)
         monitor = EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon)
         meter = MemoryMeter()
-        trace: list[GateRecord] = []
         metadata: dict = {
             "threads": cfg.threads,
             "beta": cfg.beta,
@@ -180,7 +344,6 @@ class FlatDDSimulator(Simulator):
             "forced_conversion": cfg.force_convert_at is not None,
             "resumed": resume is not None,
             "resume_phase": resume.phase if resume is not None else None,
-            "identity_skip": cfg.identity_skip,
             "qubit_order": cfg.qubit_order,
             "reorder": {
                 "mode": reorder.mode,
@@ -192,6 +355,7 @@ class FlatDDSimulator(Simulator):
             },
         }
         start = time.perf_counter()
+        deadline = None if max_seconds is None else start + max_seconds
 
         def write_array_checkpoint(arr, conv_at, cursor):
             """Array-phase snapshot writer shared by cadence and guard."""
@@ -208,6 +372,7 @@ class FlatDDSimulator(Simulator):
         # ---------------- Phase 1: DD simulation with EWMA monitoring ----
         convert_at: int | None = None
         timed_out = False
+        trace: list[GateRecord] = []
         dd_start = 0
         skip_dd = False
         if resume is not None:
@@ -225,94 +390,24 @@ class FlatDDSimulator(Simulator):
                 state_dd = None
         else:
             state_dd = zero_state(pkg)
-        dd_gates = dd_circuit.gates[dd_start:] if not skip_dd else []
-        for i, gate in enumerate(dd_gates, start=dd_start):
-            g0 = time.perf_counter()
-            state_dd = mv_multiply(
-                pkg, gates.get(gate, windowed=cfg.identity_skip), state_dd
+        if not skip_dd:
+            dd = run_dd_phase(
+                cfg, pkg, gates, dd_circuit.gates, state_dd, monitor,
+                meter, guard, start=dd_start, gc_threshold=self.GC_THRESHOLD,
+                tracer=tr, deadline=deadline, circuit=circuit,
+                checkpoint_every=checkpoint_every,
+                checkpoint_path=checkpoint_path, cfg_digest=cfg_digest,
             )
-            size = node_count(state_dd)
-            triggered = monitor.update(size)
-            if cfg.force_convert_at is not None:
-                triggered = i == cfg.force_convert_at
-            g1 = time.perf_counter()
-            trace.append(
-                GateRecord(
-                    index=i,
-                    name=gate.name,
-                    seconds=g1 - g0,
-                    phase="dd",
-                    dd_size=size,
-                )
-            )
+            state_dd, convert_at = dd.state_dd, dd.convert_at
+            trace, timed_out = dd.records, dd.timed_out
+            checkpoints_written = dd.checkpoints_written
+            if dd.guard_forced:
+                metadata["guard_forced_conversion"] = True
             if tracing:
                 tr.record(
-                    gate.name, "dd", g0, g1,
-                    gate_index=i, dd_size=size, ewma=monitor.value,
+                    "dd_phase", "phase", start, time.perf_counter(),
+                    gates=len(trace), converted=convert_at is not None,
                 )
-                tr.sample("dd_size", size, ts=g1)
-                tr.sample("ewma", monitor.value, ts=g1)
-            meter.sample(dd_bytes(pkg))
-            if not triggered and guard.check_dd(meter.last_bytes, i):
-                # Budget breach while still in the DD phase: degrade
-                # gracefully by converting to the flat array early.
-                triggered = True
-                metadata["guard_forced_conversion"] = True
-                if tracing:
-                    tr.instant(
-                        "guard_breach", "dd", ts=g1,
-                        gate_index=i, observed_bytes=meter.last_bytes,
-                        budget_bytes=guard.budget_bytes,
-                    )
-                _log.warning(
-                    "memory budget breached at gate %d (%d > %d bytes); "
-                    "forcing DD-to-array conversion",
-                    i, meter.last_bytes, guard.budget_bytes,
-                )
-            if triggered:
-                convert_at = i
-                if tracing:
-                    tr.instant(
-                        "ewma_trigger", "dd", ts=g1,
-                        gate_index=i, dd_size=size, ewma=monitor.value,
-                    )
-                _log.info(
-                    "EWMA triggered at gate %d (dd_size=%d, ewma=%.1f)",
-                    i, size, monitor.value,
-                )
-                break
-            if (
-                checkpoint_every is not None
-                and (i + 1) % checkpoint_every == 0
-                and i + 1 < len(circuit.gates)
-            ):
-                # Barrier *before* the dump: the snapshot must capture the
-                # exact state (unique tables = live state DD, caches cold)
-                # that both the continuation and any resume evolve from.
-                gates.clear()
-                pkg.checkpoint_barrier([state_dd])
-                write_snapshot(
-                    checkpoint_path,
-                    snapshot_dd_phase(
-                        pkg, state_dd, monitor, i + 1, circuit, cfg_digest
-                    ),
-                )
-                checkpoints_written += 1
-                if tracing:
-                    tr.instant("checkpoint", "dd", gate_index=i)
-            if pkg.unique_node_count > self.GC_THRESHOLD:
-                removed = pkg.collect_garbage([state_dd, *gates.roots()])
-                if tracing:
-                    tr.instant("gc", "dd", gate_index=i, reclaimed=removed)
-                _log.debug("GC at gate %d reclaimed %d nodes", i, removed)
-            if max_seconds is not None and time.perf_counter() - start > max_seconds:
-                timed_out = True
-                break
-        if tracing and not skip_dd:
-            tr.record(
-                "dd_phase", "phase", start, time.perf_counter(),
-                gates=len(trace), converted=convert_at is not None,
-            )
         if state_dd is not None:
             registry.gauge("dd.size").set(node_count(state_dd))
         registry.gauge("ewma").set(monitor.value)
@@ -357,22 +452,11 @@ class FlatDDSimulator(Simulator):
                     metadata["converted"] = True
                     metadata["conversion_gate_index"] = convert_at
                     metadata["conversion_report"] = report
-                    gates.drop_windowed()
-                    if checkpoint_every is not None or resume is not None:
-                        # Conversion barrier: an array-phase resume rebuilds
-                        # the DMAV gate list in a fresh package, so a run
-                        # that may write (or already read) a snapshot must
-                        # build it from the same cold-cache state or the
-                        # fused edges drift by ulps.  Applied symmetrically
-                        # on the resume side by the fresh package itself.
-                        gates.clear()
-                        pkg.checkpoint_barrier([])
-                    elif guard.enabled:
-                        # Post-conversion the state DD is dead weight; under
-                        # a memory budget, reclaim it so the degradation
-                        # actually shrinks the working set (value-neutral:
-                        # GC only frees dead nodes and clears caches).
-                        pkg.collect_garbage(gates.roots())
+                    release_dd_phase(
+                        pkg, gates, guard,
+                        barrier=checkpoint_every is not None
+                        or resume is not None,
+                    )
                     meter.sample(dd_bytes(pkg) + state.nbytes)
                     if tracing:
                         tr.record(
@@ -415,14 +499,8 @@ class FlatDDSimulator(Simulator):
                     )
 
                 d0 = time.perf_counter()
-                use_plans = cfg.plan_cache
-                plans = (
-                    PlanCache(pkg, cfg.threads, model, cfg.dense_block_level)
-                    if use_plans
-                    else None
-                )
-                arena = BufferArena(state.size) if use_plans else None
-                out = None if use_plans else np.zeros_like(state)
+                plans = PlanCache(pkg, cfg.threads, model, cfg.dense_block_level)
+                arena = BufferArena(state.size)
                 dmav_macs = 0
                 dmav_cache_hits = 0
                 gate_costs: list[tuple[int, float, float, bool]] = []
@@ -431,57 +509,27 @@ class FlatDDSimulator(Simulator):
                 edge_start = resume.gate_cursor if skip_dd else 0
                 for j, edge in enumerate(edges[edge_start:], start=edge_start):
                     g0 = time.perf_counter()
-                    if use_plans:
-                        plan = plans.get(edge)
-                        cost = plan.cost
-                    else:
-                        plan = None
-                        cost = model.evaluate(pkg, edge)
-                    if cfg.cache_policy == "always":
-                        use_cache = True
-                    elif cfg.cache_policy == "never":
-                        use_cache = False
-                    else:
-                        use_cache = cost.use_cache
-                    if use_plans:
-                        w_buf, w_dirty = arena.output()
-                        if use_cache:
-                            bufs = arena.partials(plan.assignment.num_buffers)
-                            w_buf, stats = dmav_cached(
-                                pkg, edge, state, cfg.threads, runner,
-                                cfg.dense_block_level, out=w_buf,
-                                assignment=plan.assignment, buffers=bufs,
-                                writers=plan.writers, out_dirty=w_dirty,
-                                direct=plan.direct,
-                                direct_out=plan.direct_out,
-                            )
-                        else:
-                            w_buf, stats = dmav_nocache(
-                                pkg, edge, state, cfg.threads, runner,
-                                cfg.dense_block_level, out=w_buf,
-                                tasks=plan.row_tasks, out_dirty=w_dirty,
-                            )
-                        arena.retire(state)
-                        state = w_buf
-                        buffer_bytes = arena.partial_bytes
-                    elif use_cache:
-                        assignment = assign_cache_tasks(pkg, edge, cfg.threads)
-                        out, stats = dmav_cached(
+                    plan = plans.get(edge)
+                    cost = plan.cost
+                    use_cache = resolve_use_cache(cfg.cache_policy, cost)
+                    w_buf, w_dirty = arena.output()
+                    if use_cache:
+                        bufs = arena.partials(plan.assignment.num_buffers)
+                        w_buf, stats = dmav_cached(
                             pkg, edge, state, cfg.threads, runner,
-                            cfg.dense_block_level, out=out,
-                            assignment=assignment,
+                            cfg.dense_block_level, out=w_buf,
+                            assignment=plan.assignment, buffers=bufs,
+                            writers=plan.writers, out_dirty=w_dirty,
+                            direct=plan.direct, direct_out=plan.direct_out,
                         )
-                        buffer_bytes = (
-                            stats.buffers * state.size * AMPLITUDE_BYTES
-                        )
-                        state, out = out, state
                     else:
-                        out, stats = dmav_nocache(
+                        w_buf, stats = dmav_nocache(
                             pkg, edge, state, cfg.threads, runner,
-                            cfg.dense_block_level, out=out,
+                            cfg.dense_block_level, out=w_buf,
+                            tasks=plan.row_tasks, out_dirty=w_dirty,
                         )
-                        buffer_bytes = 0
-                        state, out = out, state
+                    arena.retire(state)
+                    state = w_buf
                     dmav_macs += cost.macs_total
                     dmav_cache_hits += stats.cache_hits
                     gate_costs.append(
@@ -511,7 +559,7 @@ class FlatDDSimulator(Simulator):
                     meter.sample(
                         dd_bytes(pkg)
                         + 2 * state.nbytes
-                        + buffer_bytes
+                        + arena.partial_bytes
                     )
                     guard.check_array(
                         meter.last_bytes,
@@ -532,10 +580,7 @@ class FlatDDSimulator(Simulator):
                                 "checkpoint", "dmav",
                                 gate_index=convert_at + 1 + j,
                             )
-                    if (
-                        max_seconds is not None
-                        and time.perf_counter() - start > max_seconds
-                    ):
+                    if deadline is not None and time.perf_counter() > deadline:
                         timed_out = True
                         break
                 if tracing:
@@ -551,28 +596,24 @@ class FlatDDSimulator(Simulator):
                 registry.counter("dmav.gates").inc(len(gate_costs))
                 registry.counter("dmav.macs").inc(dmav_macs)
                 registry.counter("dmav.cache_hits").inc(dmav_cache_hits)
-                metadata["plan_cache"] = use_plans
-                if use_plans:
-                    registry.counter("dmav.plan.hits").inc(plans.hits)
-                    registry.counter("dmav.plan.misses").inc(plans.misses)
-                    registry.counter("dmav.plan.gate_hits").inc(
-                        plans.gate_hits
-                    )
-                    registry.counter("dmav.plan.compiles").inc(plans.compiles)
-                    registry.counter("dmav.plan.invalidations").inc(
-                        plans.invalidations
-                    )
-                    registry.counter("dmav.arena.partial_allocs").inc(
-                        arena.partial_allocs
-                    )
-                    registry.counter("dmav.arena.partial_reuses").inc(
-                        arena.partial_reuses
-                    )
-                    registry.counter("dmav.arena.output_allocs").inc(
-                        arena.output_allocs
-                    )
-                    registry.gauge("dmav.arena.bytes").set(arena.bytes_held)
-                    registry.gauge("dmav.plan.hit_rate").set(plans.hit_rate)
+                registry.counter("dmav.plan.hits").inc(plans.hits)
+                registry.counter("dmav.plan.misses").inc(plans.misses)
+                registry.counter("dmav.plan.gate_hits").inc(plans.gate_hits)
+                registry.counter("dmav.plan.compiles").inc(plans.compiles)
+                registry.counter("dmav.plan.invalidations").inc(
+                    plans.invalidations
+                )
+                registry.counter("dmav.arena.partial_allocs").inc(
+                    arena.partial_allocs
+                )
+                registry.counter("dmav.arena.partial_reuses").inc(
+                    arena.partial_reuses
+                )
+                registry.counter("dmav.arena.output_allocs").inc(
+                    arena.output_allocs
+                )
+                registry.gauge("dmav.arena.bytes").set(arena.bytes_held)
+                registry.gauge("dmav.plan.hit_rate").set(plans.hit_rate)
                 metadata["dmav_macs_total"] = dmav_macs
                 metadata["dmav_gate_costs"] = gate_costs
                 if keep_internals:

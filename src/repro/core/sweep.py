@@ -32,12 +32,15 @@ it three ways:
 the repo-wide replay standard: signed zeros aside) the state of
 ``FlatDDSimulator.run`` on the equivalently bound circuit with the same
 config -- enforced by the ``sweep_consistency`` fuzz oracle and
-``tests/test_sweep.py``.  Per-row gate DDs are built in one package
-that replays the group's shared DD prefix once and rewinds to a
-:meth:`~repro.dd.package.DDPackage.build_mark` between rows, so each
-row's builds see exactly the canonicalization history its own run would
-have constructed; any structural incongruence between per-row plans
-drops that gate (or recursion level) to an exact per-row replay.
+``tests/test_sweep.py``.  Each group leader runs the DD phase through
+:func:`~repro.core.simulator.run_dd_phase`, the same function ``run()``
+calls, and converts in its own package.  Every row's tail gate DDs are
+then built in that leader package, which holds exactly the state each
+row's own run builds its tail in; a
+:meth:`~repro.dd.package.DDPackage.build_mark` taken there and a
+rewind after each row give every row that same starting state.  Any
+structural incongruence between per-row plans drops that gate (or
+recursion level) to an exact per-row replay.
 
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
 falls back to deduplicated per-row ``run()`` calls (noted in metadata).
@@ -53,10 +56,10 @@ import numpy as np
 from repro.backends.gatecache import GateDDCache
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
-from repro.common.config import FlatDDConfig, config_digest
+from repro.common.config import config_digest
 from repro.common.errors import SimulationError
 from repro.core.conversion import convert_parallel
-from repro.core.cost_model import CostModel
+from repro.core.cost_model import CostModel, resolve_use_cache
 from repro.core.dmav import dmav_cached, dmav_nocache, run_border_task_batch
 from repro.core.ewma import EWMAMonitor
 from repro.core.plan import GatePlan, PlanCache
@@ -65,10 +68,16 @@ from repro.core.reorder import (
     plan_qubit_order,
     unpermute_axes,
 )
+from repro.core.simulator import release_dd_phase, run_dd_phase
 from repro.dd.node import TERMINAL
-from repro.dd.operations import mv_multiply
 from repro.dd.package import DDPackage
-from repro.dd.vector import node_count, zero_state
+from repro.dd.vector import zero_state
+
+# Unused here: the DD phase calls these through repro.core.simulator.  They
+# stay bound because perfbench/layers.py wraps layer entry points by name
+# in every pipeline module, this one included.
+from repro.dd.operations import mv_multiply  # noqa: F401
+from repro.dd.vector import node_count  # noqa: F401
 from repro.metrics.memory import MemoryMeter, dd_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.arena import BufferArena
@@ -105,14 +114,6 @@ def _gate_key(g: Gate) -> tuple:
         g.controls,
         tuple(float(p).hex() for p in g.params),
     )
-
-
-def _resolve_use_cache(cfg: FlatDDConfig, plan: GatePlan) -> bool:
-    if cfg.cache_policy == "always":
-        return True
-    if cfg.cache_policy == "never":
-        return False
-    return plan.cost.use_cache
 
 
 def _hit_pattern(tasks) -> tuple:
@@ -332,98 +333,6 @@ def _batched_cached(pkg, plans, v3, w3, threads, dense_level, bufs, out_dirty):
             simd_add(w3[u], bufs[b][u])
 
 
-def _replay_prefix(sim, cfg, bound_circuit, convert_at, guard_enabled,
-                   dd_order):
-    """Replay one group's shared DD prefix in a fresh package.
-
-    Gate-DD weight arithmetic is history-dependent: the commutative add
-    memo orders its operands by node *creation index* (``_add`` in
-    :mod:`repro.dd.operations`), and a package that already holds one
-    row's gate builds hands the next row different creation orders (and
-    memo hits) than its own run would have seen.  The only bit-exact
-    environment for a row's edge builds is the one ``run()`` itself
-    constructs: the package state at the conversion point.  Rows of a
-    group share that prefix *exactly* (grouping compares bound gates
-    ``[0 .. convert_at]`` by ``float.hex``), so the replay runs once per
-    group and each row's builds start from a
-    :meth:`~repro.dd.package.DDPackage.build_mark` taken here, rewinding
-    after each row instead of replaying the prefix per row.
-
-    Conversion mutates none of the state gate builds read (tables,
-    memos), so stopping at the conversion point reproduces ``run()``'s
-    edge-build state exactly; the guard-enabled GC that ``run()``
-    performs post-conversion is replicated because it prunes the unique
-    tables gate builds share against.
-
-    The replayed prefix applies the same DD-phase transforms ``run()``
-    uses -- the ``dd_order`` permutation and identity-skipped (windowed)
-    gate builds -- while the per-row tail builds done by the caller stay
-    canonical and full-height, exactly as ``run()``'s DMAV phase builds
-    them.
-    """
-    pkg = DDPackage(bound_circuit.num_qubits)
-    gates = GateDDCache(pkg)
-    state_dd = zero_state(pkg)
-    dd_circ = (
-        permute_circuit(bound_circuit, dd_order)
-        if dd_order is not None
-        else bound_circuit
-    )
-    for i in range(convert_at + 1):
-        state_dd = mv_multiply(
-            pkg,
-            gates.get(dd_circ.gates[i], windowed=cfg.identity_skip),
-            state_dd,
-        )
-        if i < convert_at and pkg.unique_node_count > sim.GC_THRESHOLD:
-            pkg.collect_garbage([state_dd, *gates.roots()])
-    gates.drop_windowed()
-    if guard_enabled:
-        pkg.collect_garbage(gates.roots())
-    return pkg, gates
-
-
-def _dd_phase(sim, cfg, circuit, guard, meter, dd_order):
-    """Replicate ``FlatDDSimulator.run``'s DD phase on a fresh package.
-
-    Trigger decisions (EWMA, ``force_convert_at``, guard breach, GC
-    cadence) see exactly what a single-shot run sees -- the per-package
-    DD working set, never the batch -- so the conversion point matches
-    every member row's own run bit-for-bit.  ``dd_order`` and
-    ``cfg.identity_skip`` replicate the run's DD-phase qubit permutation
-    and windowed gate builds.
-    """
-    pkg = DDPackage(circuit.num_qubits)
-    gates = GateDDCache(pkg)
-    monitor = EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon)
-    state_dd = zero_state(pkg)
-    convert_at = None
-    guard_forced = False
-    dd_circ = (
-        permute_circuit(circuit, dd_order)
-        if dd_order is not None
-        else circuit
-    )
-    for i, gate in enumerate(dd_circ.gates):
-        state_dd = mv_multiply(
-            pkg, gates.get(gate, windowed=cfg.identity_skip), state_dd
-        )
-        size = node_count(state_dd)
-        triggered = monitor.update(size)
-        if cfg.force_convert_at is not None:
-            triggered = i == cfg.force_convert_at
-        meter.sample(dd_bytes(pkg))
-        if not triggered and guard.check_dd(meter.last_bytes, i):
-            triggered = True
-            guard_forced = True
-        if triggered:
-            convert_at = i
-            break
-        if pkg.unique_node_count > sim.GC_THRESHOLD:
-            pkg.collect_garbage([state_dd, *gates.roots()])
-    return pkg, gates, state_dd, convert_at, guard_forced
-
-
 def run_sweep(
     sim,
     circuit: Circuit,
@@ -483,7 +392,6 @@ def run_sweep(
         "fusion": cfg.fusion,
         "rows": num_rows,
         "unique_rows": len(uniq),
-        "identity_skip": cfg.identity_skip,
         "qubit_order": cfg.qubit_order,
         "reorder_applied": not reorder.is_natural,
     }
@@ -530,15 +438,23 @@ def run_sweep(
                 placed = True
                 break
         if not placed:
-            pkg, gates, state_dd, convert_at, guard_forced = _dd_phase(
-                sim, cfg, bc, guard, meter, dd_order
+            pkg = DDPackage(n)
+            gates = GateDDCache(pkg)
+            dd_circ = (
+                bc if dd_order is None else permute_circuit(bc, dd_order)
             )
-            if guard_forced:
+            dd = run_dd_phase(
+                cfg, pkg, gates, dd_circ.gates, zero_state(pkg),
+                EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon), meter,
+                guard, gc_threshold=sim.GC_THRESHOLD,
+            )
+            convert_at = dd.convert_at
+            if dd.guard_forced:
                 metadata["guard_forced_conversion"] = True
             groups.append({
                 "pkg": pkg,
                 "gates": gates,
-                "state_dd": state_dd,
+                "state_dd": dd.state_dd,
                 "convert_at": convert_at,
                 "prefix": (
                     [_gate_key(x) for x in bc.gates[:convert_at + 1]]
@@ -581,33 +497,24 @@ def run_sweep(
                 meter.sample(dd_bytes(pkg) + conv.nbytes)
                 ustates[members[0]] = conv
                 continue
-            gates.drop_windowed()
-            if guard.enabled:
-                pkg.collect_garbage(gates.roots())
-            # Per-row gate DDs, built in ONE package that replays the
-            # group's shared DD prefix once (see _replay_prefix) and
-            # rewinds to a build mark between rows: each row's builds
-            # start from exactly the state its own run would have
-            # constructed, at O(row's own nodes) cost instead of a full
-            # per-row prefix replay.  Evicted nodes stay alive (and
+            # Per-row tail gate DDs, built in the leader package right
+            # where run() builds its own tail, rolled back to a build mark
+            # after each row so every row starts from that same state, at
+            # O(row's own nodes) cost.  Evicted nodes stay alive (and
             # structurally valid) through the kept edges, so the
             # columnar batch below still sees every row's DD at once;
-            # the leader package hosts the per-node DMAV caches (ids
-            # never collide while the edges pin the nodes).
-            rpkg, rgates = _replay_prefix(
-                sim, cfg, uniq[members[0]], convert_at, guard.enabled,
-                dd_order,
-            )
-            build_mark = rpkg.build_mark()
-            gate_mark = rgates.mark()
+            # the package also hosts the per-node DMAV caches (ids never
+            # collide while the edges pin the nodes).
+            release_dd_phase(pkg, gates, guard)
+            build_mark = pkg.build_mark()
+            gate_mark = gates.mark()
             edges_rows = []
             for ui in members:
                 edges_rows.append([
-                    rgates.get(gt)
-                    for gt in uniq[ui].gates[convert_at + 1:]
+                    gates.get(gt) for gt in uniq[ui].gates[convert_at + 1:]
                 ])
-                rpkg.rewind_to_mark(build_mark)
-                rgates.rewind(gate_mark)
+                pkg.rewind_to_mark(build_mark)
+                gates.rewind(gate_mark)
                 row_rewinds += 1
             h = conv.size // cfg.threads
             v3 = np.repeat(
@@ -630,7 +537,9 @@ def run_sweep(
             n_remaining = len(uniq[members[0]].gates) - convert_at - 1
             for j in range(n_remaining):
                 plans = [plan_cache.get(er[j]) for er in edges_rows]
-                verdicts = [_resolve_use_cache(cfg, p) for p in plans]
+                verdicts = [
+                    resolve_use_cache(cfg.cache_policy, p.cost) for p in plans
+                ]
                 uc = verdicts[0]
                 congruent = (
                     all(v == uc for v in verdicts)

@@ -70,7 +70,7 @@ _log = logging.getLogger("repro.serve.service")
 #: part of the circuit source).
 _JOB_KEYS = {
     "backend", "shots", "sample_seed", "priority", "deadline_seconds",
-    "max_retries", "job_id", "param_sets", "qubit_order", "identity_skip",
+    "max_retries", "job_id", "param_sets", "qubit_order",
 }
 _SOURCE_KEYS = {"family", "qubits", "seed", "kwargs", "qasm", "qasm_file", "name"}
 _META_KEYS = {"repeat"}
@@ -563,28 +563,21 @@ def _entry_config(
 ) -> FlatDDConfig | None:
     """Per-job FlatDD config from manifest overrides.
 
-    ``qubit_order`` and ``identity_skip`` manifest keys override the
-    batch-wide ``flatdd_config`` (or the service defaults) for one
-    entry.  ``qubit_order`` participates in the config digest, so jobs
-    that only differ in order get distinct cache keys; ``identity_skip``
-    is execution-only and dedups against the default build.
+    A ``qubit_order`` manifest key overrides the batch-wide
+    ``flatdd_config`` (or the service defaults) for one entry.  It
+    participates in the config digest, so jobs that only differ in order
+    get distinct cache keys.
     """
     qubit_order = entry.get("qubit_order")
-    identity_skip = entry.get("identity_skip")
-    if qubit_order is None and identity_skip is None:
+    if qubit_order is None:
         return flatdd_config
     from repro.serve.workers import clamp_threads
 
     base = flatdd_config or FlatDDConfig(
         threads=clamp_threads(config.threads, circuit.num_qubits)
     )
-    overrides: dict = {}
-    if qubit_order is not None:
-        overrides["qubit_order"] = str(qubit_order)
-    if identity_skip is not None:
-        overrides["identity_skip"] = bool(identity_skip)
     try:
-        return dataclasses.replace(base, **overrides)
+        return dataclasses.replace(base, qubit_order=str(qubit_order))
     except ValueError as exc:
         line = entry.get("_line", "?")
         raise ServeError(f"manifest line {line}: {exc}") from exc

@@ -11,8 +11,7 @@ Two families, both cheap relative to writing amplitude-level golden data:
   drawn: norm preservation, ``C . C^-1 = I`` round-trips, gate-fusion
   on/off equivalence, forced early/late conversion-point equivalence,
   thread-count invariance of the parallel conversion + DMAV kernels,
-  bit-identical identity-skip on/off equivalence, qubit-reorder
-  equivalence (any variable order un-permutes back to the natural-order
+  qubit-reorder equivalence (any variable order un-permutes back to the natural-order
   state), and bit-identical checkpoint/resume (a run interrupted at a
   fingerprint-derived gate and resumed from its snapshot must reproduce
   the uninterrupted run's amplitudes *exactly*, see docs/RESILIENCE.md).
@@ -165,19 +164,13 @@ class OracleContext:
         threads: int | None = None,
         fusion: str = "none",
         force_convert_at: int | None = None,
-        plan_cache: bool = True,
-        identity_skip: bool = True,
         qubit_order: str = "natural",
     ) -> np.ndarray:
         t = self._effective_threads(threads)
-        key = (
-            "flatdd", t, fusion, force_convert_at, plan_cache,
-            identity_skip, qubit_order,
-        )
+        key = ("flatdd", t, fusion, force_convert_at, qubit_order)
         if key not in self._states:
             cfg = FlatDDConfig(
                 threads=t, fusion=fusion, force_convert_at=force_convert_at,
-                plan_cache=plan_cache, identity_skip=identity_skip,
                 qubit_order=qubit_order,
             )
             self._states[key] = FlatDDSimulator(cfg).run(self.circuit).state
@@ -348,79 +341,6 @@ def oracle_thread_invariance(
     )
 
 
-def oracle_plan_cache_equivalence(
-    circuit: Circuit, ctx: OracleContext
-) -> OracleOutcome:
-    """The DMAV plan compiler must be a pure performance optimization.
-
-    Runs the pipeline with ``plan_cache`` on and off, forcing conversion
-    at gate 0 so every gate goes through the DMAV hot loop the plans
-    govern.  Equality is ``np.array_equal``, not a tolerance: compiled
-    plans replay the per-gate descents' weight arithmetic bit-for-bit
-    (:mod:`repro.core.plan`), so any drift is a real compiler bug, not
-    float noise.
-    """
-    t0 = time.perf_counter()
-    if len(circuit.gates) < 2:
-        return _skip(
-            "plan_cache", "metamorphic", "needs >= 2 gates", t0
-        )
-    planned = ctx.flatdd(force_convert_at=0, plan_cache=True)
-    legacy = ctx.flatdd(force_convert_at=0, plan_cache=False)
-    identical = bool(np.array_equal(planned, legacy))
-    err = (
-        0.0 if identical
-        else float(np.max(np.abs(planned - legacy)))
-    )
-    return OracleOutcome(
-        oracle="plan_cache",
-        family="metamorphic",
-        passed=identical,
-        max_error=err,
-        tier="tight" if identical else "violation",
-        detail=(
-            "plan_cache on vs off (force_convert_at=0, full DMAV phase), "
-            "bit-exact comparison"
-        ),
-        seconds=time.perf_counter() - t0,
-    )
-
-
-def oracle_identity_skip_equivalence(
-    circuit: Circuit, ctx: OracleContext
-) -> OracleOutcome:
-    """Identity-skipped gate DDs must be a pure performance optimization.
-
-    Runs the pipeline with ``identity_skip`` on and off.  Equality is
-    ``np.array_equal``, not a tolerance: windowed and full-height gate
-    DDs share the active-window subtree through hash-consing and the
-    pass-through levels carry exact ``1.0`` weights, so the two modes
-    multiply exactly the same complex values in exactly the same order
-    (:mod:`repro.dd.operations`).  Any drift is a real skip-rule bug,
-    not float noise.
-    """
-    t0 = time.perf_counter()
-    skipped = ctx.flatdd(identity_skip=True)
-    full = ctx.flatdd(identity_skip=False)
-    identical = bool(np.array_equal(skipped, full))
-    err = (
-        0.0 if identical
-        else float(np.max(np.abs(skipped - full)))
-    )
-    return OracleOutcome(
-        oracle="identity_skip",
-        family="metamorphic",
-        passed=identical,
-        max_error=err,
-        tier="tight" if identical else "violation",
-        detail=(
-            "identity_skip on vs off (EWMA-timed conversion), "
-            "bit-exact comparison"
-        ),
-        seconds=time.perf_counter() - t0,
-    )
-
-
 def oracle_reorder_equivalence(
     circuit: Circuit, ctx: OracleContext
 ) -> OracleOutcome:
@@ -574,8 +494,6 @@ ORACLES: dict[str, tuple[str, callable]] = {
     "thread_invariance": ("metamorphic", oracle_thread_invariance),
     "fusion_equivalence": ("metamorphic", oracle_fusion_equivalence),
     "inverse_roundtrip": ("metamorphic", oracle_inverse_roundtrip),
-    "plan_cache": ("metamorphic", oracle_plan_cache_equivalence),
-    "identity_skip": ("metamorphic", oracle_identity_skip_equivalence),
     "reorder_equivalence": ("metamorphic", oracle_reorder_equivalence),
     "checkpoint_resume": ("metamorphic", oracle_checkpoint_resume),
     "sweep_consistency": ("metamorphic", oracle_sweep_consistency),

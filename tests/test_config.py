@@ -12,6 +12,7 @@ from repro.common.config import (
     TOLERANCE,
     VNODE_BYTES,
     FlatDDConfig,
+    config_digest,
 )
 from repro.common.errors import (
     CircuitError,
@@ -56,6 +57,19 @@ class TestFlatDDConfig:
         )
         assert cfg.threads == 8
         assert cfg.k_operations == 6
+
+    def test_config_digest_pinned(self):
+        # Snapshots and serve result caches are keyed by this digest; a
+        # change to the config's fields must not move it for existing
+        # configurations.
+        assert config_digest(FlatDDConfig()) == "7d77fb043e98c830"
+        assert (
+            config_digest(FlatDDConfig(threads=2, qubit_order="sift"))
+            == "6b204ac2d14e1dd2"
+        )
+        assert config_digest(
+            FlatDDConfig(use_thread_pool=True)
+        ) == config_digest(FlatDDConfig())
 
 
 class TestMemoryConstants:

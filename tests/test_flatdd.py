@@ -160,20 +160,9 @@ class TestConfig:
 class TestPlanCachePipeline:
     """Simulator-level behaviour of the DMAV plan compiler + arena."""
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_plan_on_off_bit_identical(self, threads):
-        c = get_circuit("supremacy", 9)
-        on = FlatDDSimulator(threads=threads, plan_cache=True).run(c)
-        off = FlatDDSimulator(threads=threads, plan_cache=False).run(c)
-        assert on.metadata["plan_cache"] is True
-        assert off.metadata["plan_cache"] is False
-        assert np.array_equal(on.state, off.state)
-
     def test_plan_counters_and_hit_rate(self):
         c = get_circuit("qft", 10)
-        r = FlatDDSimulator(
-            threads=4, force_convert_at=0, plan_cache=True
-        ).run(c)
+        r = FlatDDSimulator(threads=4, force_convert_at=0).run(c)
         counters = r.metadata["obs"]["counters"]
         hits = counters["dmav.plan.hits"]
         misses = counters["dmav.plan.misses"]
@@ -191,25 +180,10 @@ class TestPlanCachePipeline:
         # every per-gate buffer request is a reuse.
         c = get_circuit("supremacy", 10)
         r = FlatDDSimulator(
-            threads=4, cache_policy="always", force_convert_at=0,
-            plan_cache=True,
+            threads=4, cache_policy="always", force_convert_at=0
         ).run(c)
         counters = r.metadata["obs"]["counters"]
         dmav_gates = counters["dmav.gates"]
         assert counters["dmav.arena.partial_allocs"] <= 4
         assert counters["dmav.arena.partial_reuses"] >= dmav_gates - 4
         assert counters["dmav.arena.output_allocs"] == 1
-
-    def test_plan_off_emits_no_plan_counters(self):
-        c = get_circuit("qft", 8)
-        r = FlatDDSimulator(
-            threads=2, force_convert_at=0, plan_cache=False
-        ).run(c)
-        assert "dmav.plan.hits" not in r.metadata["obs"]["counters"]
-
-    def test_plan_cache_is_execution_only_in_digest(self):
-        from repro.common.config import config_digest
-
-        on = FlatDDConfig(threads=2, plan_cache=True)
-        off = FlatDDConfig(threads=2, plan_cache=False)
-        assert config_digest(on) == config_digest(off)

@@ -284,6 +284,12 @@ class TestManifest:
         )
         with pytest.raises(ServeError, match="unknown manifest key"):
             load_manifest(bad)
+        retired = _write_manifest(
+            tmp_path / "retired.jsonl",
+            [{"family": "ghz", "qubits": 5, "identity_skip": False}],
+        )
+        with pytest.raises(ServeError, match="unknown manifest key"):
+            load_manifest(retired)
         unparsable = tmp_path / "nojson.jsonl"
         unparsable.write_text("{not json\n")
         with pytest.raises(ServeError, match="invalid JSON"):

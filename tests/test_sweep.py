@@ -204,38 +204,100 @@ def test_fusion_falls_back_to_per_row_runs():
 # ---------------------------------------------------------------------------
 
 
+def _shrink_case(case, qubit_order):
+    """``(sim, template, rows)`` driving one DD-phase path through a sweep.
+
+    The first four cases scan the final rz column of a 7-qubit template,
+    which lies past the EWMA trigger (gate 30 of 47), so rows share their
+    DD prefix and each group leader builds several rows' tail gate DDs in
+    its own package.
+
+    * ``default`` -- EWMA-timed conversion, one group.
+    * ``gc_pressure`` -- a tiny GC threshold collects inside the DD phase.
+    * ``guard`` -- a generous memory budget enables the guard, whose
+      post-conversion GC prunes the package the tail gates are built in.
+    * ``two_groups`` -- the leading ry angle takes two values, splitting
+      the rows into two prefix groups of two.
+    * ``prefix_history`` -- tail gate DDs that round differently in any
+      package that has not seen the u2 prefix.
+    * ``row_rewind`` -- tail gate DDs that round differently in a package
+      still holding another row's tail builds.
+
+    The last two were shrunk from ``sweep_consistency`` fuzz violations.
+    """
+    if case == "prefix_history":
+        c = Circuit(2, name="prefix-history")
+        c.add("u2", 0, params=(0.0, 0.0)).h(1).rz(0.0, 1)
+        u2 = (2.1173197635870897, 4.322804564657765)
+        rows = [u2 + (t,) for t in (0.1, -0.7, 1.3)]
+    elif case == "row_rewind":
+        c = Circuit(4, name="row-rewind").cx(2, 0)
+        c.add("rxx", 0, 1, params=(0.0,)).add("rxx", 0, 3, params=(0.0,))
+        a, b = 4.574138241519255, 1.6844350868017108
+        rows = [(a, b), (a + 0.1, b + 0.11), (a - 0.2, b - 0.17)]
+    if case in ("prefix_history", "row_rewind"):
+        sim = FlatDDSimulator(
+            threads=1, qubit_order=qubit_order, force_convert_at=0
+        )
+        return sim, c, rows
+    c = _template(n=7, layers=2)
+    rng = np.random.default_rng(13)
+    base = rng.uniform(-np.pi, np.pi, c.num_param_slots)
+    rows = []
+    for i in range(4):
+        row = base.copy()
+        row[-7:] = rng.uniform(-np.pi, np.pi, 7)
+        if case == "two_groups":
+            row[0] = 0.3 if i % 2 else -1.1
+        rows.append(tuple(row))
+    budget = 10_000_000 if case == "guard" else None
+    sim = FlatDDSimulator(
+        threads=2, qubit_order=qubit_order, memory_budget_bytes=budget
+    )
+    if case == "gc_pressure":
+        sim.GC_THRESHOLD = 200
+    return sim, c, rows
+
+
 @pytest.mark.parametrize(
-    "identity_skip,qubit_order",
+    "case",
     [
-        (True, "natural"),
-        (False, "natural"),
-        (True, "interaction"),
-        (False, "sift"),
-        (True, "sift"),
+        "default", "gc_pressure", "guard", "two_groups",
+        "prefix_history", "row_rewind",
     ],
 )
-def test_dd_shrink_rows_bit_identical(identity_skip, qubit_order):
-    """Identity-skipped, reordered sweeps keep the bit-identity contract."""
-    c = _template(n=4, layers=2)
-    sim = FlatDDSimulator(
-        threads=2, identity_skip=identity_skip, qubit_order=qubit_order
-    )
-    rows = _rows(c, 4, seed=13)
+@pytest.mark.parametrize("qubit_order", ["natural", "interaction", "sift"])
+def test_dd_shrink_rows_bit_identical(qubit_order, case, monkeypatch):
+    """Every row built in its group leader's package equals its own run()."""
+    from repro.dd.package import DDPackage
+
+    gc_calls = []
+    collect = DDPackage.collect_garbage
+
+    def counting_collect(self, roots):
+        gc_calls.append(self.unique_node_count)
+        return collect(self, roots)
+
+    monkeypatch.setattr(DDPackage, "collect_garbage", counting_collect)
+    sim, c, rows = _shrink_case(case, qubit_order)
     result = sim.simulate_sweep(c, rows)
-    _assert_rows_identical(sim, c, rows, result)
-    assert result.metadata["identity_skip"] is identity_skip
     assert result.metadata["qubit_order"] == qubit_order
+    assert result.metadata["groups"] == (2 if case == "two_groups" else 1)
+    assert result.metadata["gates_batched"] > 0
+    if case == "gc_pressure":
+        assert gc_calls, "the DD phase never reached the GC threshold"
+    if case == "guard":
+        assert len(gc_calls) == result.metadata["groups"]
+    _assert_rows_identical(sim, c, rows, result)
 
 
 def test_dd_shrink_rewind_rolls_back_windowed_prefix():
-    """Forced mid-prefix conversion replays the permuted, identity-skipped
-    DD prefix per group through build_mark()/rewind_to_mark(); bit-identity
-    against single-shot runs proves the rewind rolls windowed builds and
-    permuted gate DDs back exactly."""
+    """Forced mid-prefix conversion after a permuted, identity-skipped DD
+    prefix: bit-identity against single-shot runs proves the leader
+    package's windowed builds are dropped and each row's tail builds are
+    rolled back exactly by build_mark()/rewind_to_mark()."""
     c = _template(n=4, layers=2)
-    sim = FlatDDSimulator(
-        threads=2, force_convert_at=2, identity_skip=True, qubit_order="sift"
-    )
+    sim = FlatDDSimulator(threads=2, force_convert_at=2, qubit_order="sift")
     rows = _rows(c, 4, seed=17)
     rows.append(rows[1])  # duplicate exercises the dedup fan-out too
     result = sim.simulate_sweep(c, rows)
