@@ -49,7 +49,7 @@ from repro.verify import check_equivalence
 # (the CLI's -v/--verbose does; see `python -m repro --help`).
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "1.7.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "CIRCUIT_FAMILIES",

@@ -20,7 +20,6 @@ from repro.core.dmav import (
     assign_tasks,
     dmav_cached,
     dmav_nocache,
-    run_border_task,
     run_border_task_batch,
 )
 from repro.core.ewma import EWMAMonitor, EWMASample
@@ -57,7 +56,6 @@ __all__ = [
     "identity_levels",
     "mac_count",
     "plan_conversion",
-    "run_border_task",
     "run_border_task_batch",
     "run_sweep",
 ]

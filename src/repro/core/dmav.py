@@ -14,14 +14,22 @@ flat array (no irregularity blow-up).
   collapse to one SIMD scalar multiplication (Figure 6).  Buffers are
   summed into W at the end.
 
-The ``Run`` recursion bottoms out on vectorized kernels (identity subtrees
-and cached dense blocks) instead of scalar MACs -- see DESIGN.md
-substitution 2; MAC counts for the cost model are unaffected.
+Both algorithms share one ``Run`` kernel, :func:`run_border_task_batch`:
+border sub-matrix DDs applied to a ``(rows, size)`` slice, one DD per
+row.  DMAV calls it with one row; :mod:`repro.core.sweep` calls it with
+one row per parameter point.  A sweep row's state is therefore
+bit-identical to its own ``run()`` by construction: rows that disagree
+structurally are replayed through the same kernel one row at a time.
+
+The ``Run`` recursion bottoms out on vectorized kernels (identity
+subtrees, Kronecker collapses and cached dense blocks) instead of scalar
+MACs -- see DESIGN.md substitution 2; MAC counts for the cost model are
+unaffected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +47,6 @@ __all__ = [
     "assign_tasks",
     "dmav_nocache",
     "dmav_cached",
-    "run_border_task",
     "run_border_task_batch",
 ]
 
@@ -91,158 +98,16 @@ def assign_tasks(
     return tasks
 
 
-def _apply_batched(
-    pkg: DDPackage,
-    node: DDNode,
-    vmat: np.ndarray,
-    dense_level: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply the normalized subtree under ``node`` to a batch of vectors.
-
-    ``vmat`` has shape ``(batch, 2**(level+1))`` (C-contiguous); the result
-    has the same shape.  Recursion groups the four 2x2-block children by
-    child *node*, stacking their input halves into one call -- so the call
-    count is proportional to the gate DD's edge count, not to the number of
-    root-to-terminal paths (the pure-Python analogue of the paper's
-    constant-average-indexing claim for DMAV, Section 3.2.1).
-
-    ``out`` is a best-effort, contiguous result destination of ``vmat``'s
-    shape that must not overlap ``vmat``.  Branches whose final operation
-    can target it directly do so (skipping one result-sized allocation);
-    others -- notably identity subtrees, which return ``vmat`` itself --
-    ignore it.  Callers must therefore always use the *returned* array.
-    The values written are the same bits either way.
-    """
-    if node is TERMINAL or is_identity(pkg, node):
-        return vmat
-    size = vmat.shape[1]
-    if node.level <= dense_level:
-        block = dense_matrix_block(pkg, node)
-        if out is None:
-            return vmat @ block.T
-        np.matmul(vmat, block.T, out=out)
-        return out
-    collapsed = kron_collapse(pkg, node, dense_level)
-    if collapsed is not None:
-        # Subtree acts as diag(d) (x) M_base: one reshape + matmul.
-        d, base = collapsed
-        if base is TERMINAL:
-            if out is None:
-                return vmat * d
-            np.multiply(vmat, d, out=out)
-            return out
-        block = dense_matrix_block(pkg, base)
-        bs = block.shape[0]
-        shape3 = (vmat.shape[0], d.size, bs)
-        if out is None:
-            folded = vmat.reshape(shape3) @ block.T
-        else:
-            folded = out.reshape(shape3)
-            np.matmul(vmat.reshape(shape3), block.T, out=folded)
-        folded *= d[None, :, None]
-        return folded.reshape(vmat.shape)
-    half = size // 2
+def _passthrough(node: DDNode) -> bool:
+    """Diagonal 2x2-block level whose two children share one node."""
     e00, e01, e10, e11 = node.edges
-    if (
+    return (
         e01.is_zero
         and e10.is_zero
         and not e00.is_zero
         and not e11.is_zero
         and e00.n is e11.n
-    ):
-        # Pass-through level (diag block, shared child): fold the halves
-        # into the batch axis as a *view* and recurse once -- zero copies
-        # until a non-trivial level is reached.
-        m = vmat.shape[0]
-        if e00.w == 1 and e11.w == 1:
-            folded = _apply_batched(
-                pkg,
-                e00.n,
-                vmat.reshape(2 * m, half),
-                dense_level,
-                None if out is None else out.reshape(2 * m, half),
-            )
-            return folded.reshape(m, size)
-        folded = _apply_batched(
-            pkg, e00.n, vmat.reshape(2 * m, half), dense_level
-        )
-        scale = np.array([e00.w, e11.w], dtype=np.complex128)
-        if out is None:
-            return (
-                folded.reshape(m, 2, half) * scale[None, :, None]
-            ).reshape(m, size)
-        np.multiply(
-            folded.reshape(m, 2, half),
-            scale[None, :, None],
-            out=out.reshape(m, 2, half),
-        )
-        return out
-    halves = (vmat[:, :half], vmat[:, half:])
-    # Group the (up to four) child applications by child node: a child that
-    # appears under several (i, j) positions runs once on a stacked batch.
-    groups: dict[int, tuple[DDNode, list[tuple[int, int, complex]]]] = {}
-    for k, child in enumerate(node.edges):
-        if child.is_zero:
-            continue
-        i, j = divmod(k, 2)
-        entry = groups.get(id(child.n))
-        if entry is None:
-            groups[id(child.n)] = (child.n, [(i, j, child.w)])
-        else:
-            entry[1].append((i, j, child.w))
-    # Assign on first write per output half instead of accumulating onto a
-    # zero-filled buffer: ``w * b`` and ``0 + w * b`` only differ in signed
-    # zeros, and skipping the O(size) fill plus one temporary per first use
-    # is most of this level's overhead.
-    if out is None:
-        out = np.empty_like(vmat)
-    written = [False, False]
-    m = vmat.shape[0]
-    for child_node, uses in groups.values():
-        if child_node is TERMINAL or is_identity(pkg, child_node):
-            # The child applies as the identity: read the input halves
-            # directly instead of stacking a copy just to get it back.
-            result = halves
-            slot = {0: 0, 1: 1}
-        else:
-            js = sorted({j for _, j, _ in uses})
-            if len(js) == 1:
-                stacked = halves[js[0]]
-            else:
-                stacked = np.concatenate([halves[j] for j in js], axis=0)
-            res = _apply_batched(pkg, child_node, stacked, dense_level)
-            slot = {j: pos for pos, j in enumerate(js)}
-            result = [
-                res[pos * m:(pos + 1) * m] for pos in range(len(js))
-            ]
-        for i, j, weight in uses:
-            block = result[slot[j]]
-            dst = out[:, i * half:(i + 1) * half]
-            if written[i]:
-                dst += weight * block
-            else:
-                np.multiply(weight, block, out=dst)
-                written[i] = True
-    for i in (0, 1):
-        if not written[i]:
-            out[:, i * half:(i + 1) * half] = 0.0
-    return out
-
-
-def _lockstep_rowwise(
-    pkg: DDPackage,
-    nodes: list[DDNode],
-    vten: np.ndarray,
-    dense_level: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact per-row fallback: the single-shot kernel on each batch row."""
-    if out is None:
-        out = np.empty(vten.shape, dtype=np.complex128)
-    for b, node in enumerate(nodes):
-        out[b] = _apply_batched(pkg, node, vten[b], dense_level)
-    return out
+    )
 
 
 def _partition_sig(node: DDNode) -> tuple[int, ...]:
@@ -251,7 +116,7 @@ def _partition_sig(node: DDNode) -> tuple[int, ...]:
     Position ``k`` maps to ``-1`` (zero edge) or the first-occurrence
     index of its child node within this node's edges.  Two nodes with
     equal signatures group their children identically, which is what the
-    lockstep generic branch needs to run one stacked recursion per group.
+    generic branch needs to run one stacked recursion per group.
     """
     seen: dict[int, int] = {}
     sig = []
@@ -263,6 +128,23 @@ def _partition_sig(node: DDNode) -> tuple[int, ...]:
     return tuple(sig)
 
 
+def _lockstep_rowwise(
+    pkg: DDPackage,
+    nodes: list[DDNode],
+    vten: np.ndarray,
+    dense_level: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact per-row fallback: the lockstep kernel on one row at a time."""
+    if out is None:
+        out = np.empty(vten.shape, dtype=np.complex128)
+    for b, node in enumerate(nodes):
+        out[b:b + 1] = _apply_lockstep(
+            pkg, [node], vten[b:b + 1], dense_level
+        )
+    return out
+
+
 def _apply_lockstep(
     pkg: DDPackage,
     nodes: list[DDNode],
@@ -270,36 +152,48 @@ def _apply_lockstep(
     dense_level: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply per-row gate sub-DDs to a batch of vector blocks in lockstep.
+    """Apply per-row normalized sub-DDs to a batch of vector blocks.
 
-    ``vten`` has shape ``(rows, m, 2**(level+1))``: row ``b``'s
-    ``(m, size)`` slice is exactly the ``vmat`` the single-shot kernel
-    (:func:`_apply_batched`) sees for that row at this recursion point,
-    and ``nodes[b]`` is that row's sub-DD (rows of a parameter sweep share
-    structure but differ in edge weights, so the node *objects* usually
-    differ).  Every branch mirrors ``_apply_batched`` with the batch as a
-    leading broadcast axis: each gemm becomes a broadcast matmul whose
-    trailing two dimensions equal the single-shot gemm shape (numpy
-    evaluates broadcast matmuls slice-by-slice with the same kernel, so
-    each row's result is bit-identical to its single-shot run), and every
-    scale/accumulate stays elementwise.  Whenever the rows' DDs disagree
-    structurally -- different branch taken, different child partition --
-    the whole level drops to :func:`_lockstep_rowwise`, which is exact by
-    construction, just not batched.  ``out`` follows ``_apply_batched``'s
-    best-effort contract (must be C-contiguous here; callers pass None or
-    a buffer this module allocated).
+    ``vten`` has shape ``(rows, m, 2**(level+1))`` and ``nodes[b]`` is row
+    ``b``'s sub-DD at this recursion point.  A single-shot run passes one
+    row; rows of a parameter sweep share structure but differ in edge
+    weights, so their node *objects* usually differ.  The recursion groups
+    the four 2x2-block children by child node, stacking their input halves
+    along ``m`` into one call -- so the call count is proportional to the
+    gate DD's edge count, not to the number of root-to-terminal paths (the
+    pure-Python analogue of the paper's constant-average-indexing claim
+    for DMAV, Section 3.2.1).
+
+    When every row holds the same node (``shared``: always for one row,
+    and for parameterless gates in a sweep) each branch reads that node
+    once and scales by its scalar weights.  Otherwise the per-row dense
+    blocks and weights are stacked along the leading axis: each gemm
+    becomes a broadcast matmul whose trailing two dimensions are the
+    one-row gemm shape, and every scale/accumulate stays elementwise, so
+    each row gets the bits of its own one-row call.  Whenever rows
+    disagree structurally -- different branch, Kronecker base, or child
+    partition -- the level drops to :func:`_lockstep_rowwise`, which runs
+    this kernel one row at a time.
+
+    ``out`` is a best-effort, C-contiguous result destination of
+    ``vten``'s shape that must not overlap ``vten``.  Branches whose final
+    operation can target it directly do so (skipping one result-sized
+    allocation); others -- notably identity subtrees, which return
+    ``vten`` itself -- ignore it.  Callers must therefore always use the
+    *returned* array.  The values written are the same bits either way.
     """
     n0 = nodes[0]
-    flags = [nd is TERMINAL or is_identity(pkg, nd) for nd in nodes]
-    if all(flags):
-        return vten
-    if any(flags):
+    shared = len(nodes) == 1 or all(nd is n0 for nd in nodes)
+    if is_identity(pkg, n0):
+        if shared or all(is_identity(pkg, nd) for nd in nodes):
+            return vten
         return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
     level = n0.level
-    if any(nd.level != level for nd in nodes):
+    if not shared and any(
+        nd.level != level or is_identity(pkg, nd) for nd in nodes
+    ):
         return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
     rows, m, size = vten.shape
-    shared = all(nd is n0 for nd in nodes)
     if level <= dense_level:
         if shared:
             block_t = dense_matrix_block(pkg, n0).T
@@ -311,33 +205,34 @@ def _apply_lockstep(
             return vten @ block_t
         np.matmul(vten, block_t, out=out)
         return out
-    collapsed = [kron_collapse(pkg, nd, dense_level) for nd in nodes]
-    if collapsed[0] is not None:
-        if any(c is None for c in collapsed):
+    c0 = kron_collapse(pkg, n0, dense_level)
+    if not shared:
+        collapsed = [kron_collapse(pkg, nd, dense_level) for nd in nodes]
+        if any(
+            (c is None) != (c0 is None)
+            or (c is not None and c[1].level != c0[1].level)
+            for c in collapsed
+        ):
             return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-        bases = [c[1] for c in collapsed]
-        term = [base is TERMINAL for base in bases]
-        if all(term):
-            d = (
-                collapsed[0][0]
-                if shared
-                else np.stack([c[0] for c in collapsed])[:, None, :]
-            )
+    if c0 is not None:
+        # Subtree acts as diag(d) (x) M_base: one reshape + matmul.
+        d, base = c0
+        if base is TERMINAL:
+            if not shared:
+                d = np.stack([c[0] for c in collapsed])[:, None, :]
             if out is None:
                 return vten * d
             np.multiply(vten, d, out=out)
             return out
-        if any(term) or any(b.level != bases[0].level for b in bases):
-            return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
         if shared:
-            block_t = dense_matrix_block(pkg, bases[0]).T
-            d = collapsed[0][0][None, None, :, None]
+            block_t = dense_matrix_block(pkg, base).T
+            d = d[None, None, :, None]
         else:
             block_t = np.stack(
-                [dense_matrix_block(pkg, b) for b in bases]
+                [dense_matrix_block(pkg, c[1]) for c in collapsed]
             ).transpose(0, 2, 1)[:, None]
             d = np.stack([c[0] for c in collapsed])[:, None, :, None]
-        bs = 2 << bases[0].level
+        bs = 2 << base.level
         shape4 = (rows, m, size // bs, bs)
         if out is None:
             folded = vten.reshape(shape4) @ block_t
@@ -347,21 +242,13 @@ def _apply_lockstep(
         folded *= d
         return folded.reshape(rows, m, size)
     half = size // 2
-
-    def passthrough(nd: DDNode) -> bool:
-        e00, e01, e10, e11 = nd.edges
-        return (
-            e01.is_zero
-            and e10.is_zero
-            and not e00.is_zero
-            and not e11.is_zero
-            and e00.n is e11.n
-        )
-
-    pts = [passthrough(nd) for nd in nodes]
-    if pts[0] or any(pts):
-        if not all(pts):
-            return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
+    pt = _passthrough(n0)
+    if not shared and any(_passthrough(nd) != pt for nd in nodes):
+        return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
+    if pt:
+        # Pass-through level (diag block, shared child): fold the halves
+        # into the block axis as a *view* and recurse once -- zero copies
+        # until a non-trivial level is reached.
         children = [nd.edges[0].n for nd in nodes]
         units = [nd.edges[0].w == 1 and nd.edges[3].w == 1 for nd in nodes]
         if all(units):
@@ -374,9 +261,8 @@ def _apply_lockstep(
             )
             return folded.reshape(rows, m, size)
         if any(units):
-            # Single-shot takes the scaled branch only for non-unit
-            # weights; mixed rows would diverge in signed zeros -- stay
-            # strict and replay per row.
+            # Unit rows skip the scale pass; mixing them with scaled rows
+            # would differ in signed zeros -- replay per row instead.
             return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
         folded = _apply_lockstep(
             pkg, children, vten.reshape(rows, 2 * m, half), dense_level
@@ -390,40 +276,41 @@ def _apply_lockstep(
             return (f4 * scale).reshape(rows, m, size)
         np.multiply(f4, scale, out=out.reshape(rows, m, 2, half))
         return out
-    sig = _partition_sig(n0)
-    if any(_partition_sig(nd) != sig for nd in nodes[1:]):
-        return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-    # Group positions exactly like the single-shot kernel: by child node,
-    # insertion order.  Equal signatures make the grouping identical for
-    # every row, so one stacked lockstep recursion serves each group.
-    positions: list[list[int]] = []
-    for k, gid in enumerate(sig):
-        if gid < 0:
-            continue
-        if gid == len(positions):
-            positions.append([k])
-        else:
-            positions[gid].append(k)
-    group_nodes = [
-        [nd.edges[ks[0]].n for nd in nodes] for ks in positions
-    ]
-    group_idn = []
-    for gnodes in group_nodes:
-        gf = [gn is TERMINAL or is_identity(pkg, gn) for gn in gnodes]
-        if any(gf) and not all(gf):
+    if not shared:
+        sig = _partition_sig(n0)
+        if any(_partition_sig(nd) != sig for nd in nodes):
             return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-        group_idn.append(all(gf))
+    # Group the (up to four) child applications by child node: a child
+    # that appears under several (i, j) positions runs once on a stacked
+    # batch.  Equal partition signatures make the grouping identical for
+    # every row, so one stacked recursion serves each group.
+    groups: dict[int, list[int]] = {}
+    for k, child in enumerate(n0.edges):
+        if not child.is_zero:
+            groups.setdefault(id(child.n), []).append(k)
     halves = (vten[:, :, :half], vten[:, :, half:])
+    # Assign on first write per output half instead of accumulating onto a
+    # zero-filled buffer: ``w * b`` and ``0 + w * b`` only differ in signed
+    # zeros, and skipping the O(size) fill plus one temporary per first use
+    # is most of this level's overhead.
     if out is None:
         out = np.empty((rows, m, size), dtype=np.complex128)
     written = [False, False]
-    for ks, gnodes, idn in zip(positions, group_nodes, group_idn):
-        uses = [divmod(k, 2) for k in ks]
+    for ks in groups.values():
+        child = n0.edges[ks[0]].n
+        if shared:
+            gnodes = [child] * rows
+            idn = is_identity(pkg, child)
+        else:
+            gnodes = [nd.edges[ks[0]].n for nd in nodes]
+            idn = all(is_identity(pkg, gn) for gn in gnodes)
         if idn:
+            # The child applies as the identity: read the input halves
+            # directly instead of stacking a copy just to get it back.
             result = halves
             slot = {0: 0, 1: 1}
         else:
-            js = sorted({j for _i, j in uses})
+            js = sorted({k % 2 for k in ks})
             if len(js) == 1:
                 stacked = halves[js[0]]
             else:
@@ -433,10 +320,14 @@ def _apply_lockstep(
             result = [
                 res[:, pos * m:(pos + 1) * m, :] for pos in range(len(js))
             ]
-        for i, j in uses:
-            wts = np.array(
-                [nd.edges[2 * i + j].w for nd in nodes], dtype=np.complex128
-            )[:, None, None]
+        for k in ks:
+            i, j = divmod(k, 2)
+            if shared:
+                wts = n0.edges[k].w
+            else:
+                wts = np.array(
+                    [nd.edges[k].w for nd in nodes], dtype=np.complex128
+                )[:, None, None]
             block = result[slot[j]]
             dst = out[:, :, i * half:(i + 1) * half]
             if written[i]:
@@ -459,20 +350,24 @@ def run_border_task_batch(
     dense_level: int = DENSE_BLOCK_LEVEL,
     accumulate: bool = True,
 ) -> None:
-    """Batched Run: per-row border sub-matrices over pre-sliced batch views.
+    """Algorithm 1's Run: ``wout[b] (+)= coeffs[b] * M_b vin[b]`` per row.
 
     ``vin``/``wout`` are the task's input and output column ranges as
-    ``(rows, size)`` views (``(rows, 1)`` for terminal tasks); the caller
-    (:mod:`repro.core.sweep`) slices them out of tile-major batch buffers
-    so that chunk-aligned tasks arrive C-contiguous and need no gather
-    copy.  Row ``b`` reproduces ``run_border_task(pkg, nodes[b],
-    coeffs[b], ...)`` on its own state -- bit-identical up to signed
-    zeros (``np.array_equal``), the repo-wide replay guarantee.  The
-    caller guarantees structural congruence of the per-row plans: all
-    rows' nodes at one task index are terminal together or not, and
-    offsets match.  Terminal tasks touch single elements and must stay
-    scalar Python complex arithmetic (vectorized complex ops round
-    differently); everything else goes through the lockstep kernel.
+    ``(rows, size)`` views (``(rows, 1)`` for terminal tasks) and
+    ``nodes[b]`` is row ``b``'s border sub-matrix.  DMAV calls this with
+    one row; :mod:`repro.core.sweep` calls it with one row per sweep point,
+    slicing the views out of tile-major batch buffers so that
+    chunk-aligned tasks arrive C-contiguous and need no gather copy.  All
+    rows' nodes must be terminal together or not.  The scalar-MAC
+    recursion of the paper's C++ is replaced by the vectorized lockstep
+    kernel (DESIGN.md substitution 2), so a sweep row reproduces its own
+    one-row call bit for bit.  Terminal tasks touch single elements and
+    stay scalar Python complex arithmetic.
+
+    With ``accumulate=False`` the block is *assigned* instead of
+    accumulated, which lets planned runs write into recycled (dirty,
+    never-zeroed) buffers; the values only differ from ``0 + x`` in
+    signed zeros.
     """
     if nodes[0] is TERMINAL:
         if accumulate:
@@ -486,26 +381,40 @@ def run_border_task_batch(
     if not vin.flags.c_contiguous:
         vin = np.ascontiguousarray(vin)
     v3 = vin.reshape(rows, 1, size)
-    carr = np.asarray(coeffs, dtype=np.complex128)[:, None]
+    # One row (every single-shot task) scales by its scalar coefficient;
+    # a scalar and a broadcast column multiply to the same bits.
+    if rows == 1:
+        carr = coeffs[0]
+        unit = carr == 1.0 + 0j
+    else:
+        carr = np.asarray(coeffs, dtype=np.complex128)[:, None]
+        unit = all(c == 1.0 + 0j for c in coeffs)
     if accumulate:
         res = _apply_lockstep(pkg, nodes, v3, dense_level)[:, 0, :]
         wout += carr * res
         return
-    # Assigning tasks forward their output slice as the kernel's result
-    # destination exactly like the single-shot path: the kernel either
-    # writes it in place (same bits as returning a fresh array, per its
-    # contract) or ignores it, in which case the scale/copy below lands
-    # the values.  Aliased multiplies are element-aligned, hence defined.
+    # Assigning tasks hand the kernel their output slice as the result
+    # destination, then scale in place -- no intermediate buffer at all.
+    # ``res`` either IS that slice's memory (same positions; it is then
+    # replaced by ``wout`` itself, whose identical strides let numpy
+    # multiply in place without a defensive copy) or an input view the
+    # kernel passed through untouched.  Operand order matters
+    # bit-for-bit: numpy's FMA-based complex multiply rounds differently
+    # per order, and the accumulate path computes ``carr * res``.
     fwd = wout.reshape(rows, 1, size) if wout.flags.c_contiguous else None
     res = _apply_lockstep(pkg, nodes, v3, dense_level, fwd)[:, 0, :]
-    if all(c == 1.0 + 0j for c in coeffs):
-        if not np.may_share_memory(res, wout):
+    in_place = np.may_share_memory(res, wout)
+    if unit:
+        # Unit coefficients: ``1 * res`` differs from ``res`` only in
+        # signed zeros, and assignment needs no pass at all when the
+        # kernel already wrote the slice.
+        if not in_place:
             np.copyto(wout, res)
         return
-    np.multiply(carr, res, out=wout)
+    np.multiply(carr, wout if in_place else res, out=wout)
 
 
-def run_border_task(
+def _run_task(
     pkg: DDPackage,
     node: DDNode,
     coeff: complex,
@@ -513,50 +422,15 @@ def run_border_task(
     w: np.ndarray,
     i_v: int,
     i_w: int,
-    dense_level: int = DENSE_BLOCK_LEVEL,
+    dense_level: int,
     accumulate: bool = True,
 ) -> None:
-    """Algorithm 1's Run on one border sub-matrix: w-block += coeff * M v.
-
-    The scalar-MAC recursion of the paper's C++ is replaced by the batched
-    vectorized kernel (DESIGN.md substitution 2).  With
-    ``accumulate=False`` the block is *assigned* instead of accumulated,
-    which lets planned runs write into recycled (dirty, never-zeroed)
-    buffers; the values only differ from ``0 + x`` in signed zeros.
-    """
-    if node is TERMINAL:
-        if accumulate:
-            w[i_w] += coeff * v[i_v]
-        else:
-            w[i_w] = coeff * v[i_v]
-        return
-    size = 2 << node.level
-    vin = np.ascontiguousarray(v[i_v:i_v + size]).reshape(1, size)
-    if accumulate:
-        res = _apply_batched(pkg, node, vin, dense_level)[0]
-        w[i_w:i_w + size] += coeff * res
-    else:
-        # Assigning tasks hand the kernel their output slice as the result
-        # destination, then scale in place -- no intermediate buffer at
-        # all.  ``res`` either IS that slice's memory (same positions, so
-        # the aliased multiply is well-defined) or an input view the
-        # kernel passed through untouched.  Operand order matters
-        # bit-for-bit: numpy's FMA-based complex multiply rounds
-        # differently per order, and the accumulate path computes
-        # ``coeff * res``.
-        wslice = w[i_w:i_w + size]
-        res = _apply_batched(
-            pkg, node, vin, dense_level, wslice.reshape(1, size)
-        )[0]
-        if coeff == 1.0 + 0j:
-            # Unit coefficient: ``1 * res`` differs from ``res`` only in
-            # signed zeros, and assignment (unlike accumulation, which
-            # still owes an add) needs no pass at all when the kernel
-            # already wrote the slice.
-            if not np.may_share_memory(res, wslice):
-                np.copyto(wslice, res)
-            return
-        np.multiply(coeff, res, out=wslice)
+    """One border task of a single state: the one-row Run."""
+    size = 1 if node is TERMINAL else 2 << node.level
+    run_border_task_batch(
+        pkg, [node], [coeff], v[None, i_v:i_v + size],
+        w[None, i_w:i_w + size], dense_level, accumulate,
+    )
 
 
 def dmav_nocache(
@@ -593,26 +467,23 @@ def dmav_nocache(
     h = (1 << n) // threads
 
     def work(u: int) -> None:
-        if planned:
-            if not tasks[u]:
-                if out_dirty:
-                    w[u * h:(u + 1) * h].fill(0)
-                return
-            first = True
-            for node, i_v, coeff in tasks[u]:
-                if first and node is TERMINAL:
-                    # A terminal border task writes a single element, not
-                    # the whole slice -- fall back to zero-fill + add.
-                    w[u * h:(u + 1) * h].fill(0)
-                    first = False
-                run_border_task(
-                    pkg, node, coeff, v, w, i_v, u * h, dense_level,
-                    accumulate=not first,
-                )
-                first = False
+        if planned and not tasks[u]:
+            if out_dirty:
+                w[u * h:(u + 1) * h].fill(0)
             return
+        # Planned: each thread's first task assigns its slice.
+        first = planned
         for node, i_v, coeff in tasks[u]:
-            run_border_task(pkg, node, coeff, v, w, i_v, u * h, dense_level)
+            if first and node is TERMINAL:
+                # A terminal border task writes a single element, not
+                # the whole slice -- fall back to zero-fill + add.
+                w[u * h:(u + 1) * h].fill(0)
+                first = False
+            _run_task(
+                pkg, node, coeff, v, w, i_v, u * h, dense_level,
+                accumulate=not first,
+            )
+            first = False
 
     if runner is not None and runner.use_pool:
         runner.run([lambda u=u: work(u) for u in range(threads)])
@@ -702,7 +573,7 @@ def dmav_cached(
             elif to_w:
                 # Sole producer of output slice i_p // h, never a hit
                 # source: write W in place; sum_block skips this slice.
-                run_border_task(
+                _run_task(
                     pkg, node, coeff, v, w, u * h, i_p, dense_level,
                     accumulate=False,
                 )
@@ -711,7 +582,7 @@ def dmav_cached(
                     # Terminal border tasks write one element, not the
                     # whole slice -- zero it so stale data can't leak.
                     buf[i_p:i_p + h].fill(0)
-                run_border_task(
+                _run_task(
                     pkg, node, coeff, v, buf, u * h, i_p, dense_level,
                     accumulate=not planned or node is TERMINAL,
                 )

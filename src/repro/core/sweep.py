@@ -22,11 +22,11 @@ it three ways:
 3. **Batched replay.**  The remaining gates replay over a *tile-major*
    ``(threads, rows, 2**n / threads)`` batch -- DMAV task slices are
    chunk-aligned, so each becomes one C-contiguous ``(rows, chunk)``
-   block -- through the lockstep kernels of :mod:`repro.core.dmav`
-   (broadcast matmuls whose per-row slices are bit-identical to the
-   single-shot gemms), row-blocked (``ROW_BLOCK_BYTES``) so task slices
-   stay cache-resident.  The array phase becomes batched matrix x
-   matrix work.
+   block -- through the Run kernel of :mod:`repro.core.dmav`
+   (:func:`~repro.core.dmav.run_border_task_batch`, whose one-row case
+   is what ``run()`` executes), row-blocked (``ROW_BLOCK_BYTES``) so
+   task slices stay cache-resident.  The array phase becomes batched
+   matrix x matrix work.
 
 **Bit-identity contract.**  Every batch row equals (``np.array_equal``,
 the repo-wide replay standard: signed zeros aside) the state of
@@ -38,9 +38,11 @@ calls, and converts in its own package.  Every row's tail gate DDs are
 then built in that leader package, which holds exactly the state each
 row's own run builds its tail in; a
 :meth:`~repro.dd.package.DDPackage.build_mark` taken there and a
-rewind after each row give every row that same starting state.  Any
-structural incongruence between per-row plans drops that gate (or
-recursion level) to an exact per-row replay.
+rewind after each row give every row that same starting state.  The
+array phase then holds by construction: ``run()`` is the one-row call
+of the same Run kernel, and any structural incongruence between
+per-row plans drops that gate (or kernel recursion level) to a per-row
+replay of it.
 
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
 falls back to deduplicated per-row ``run()`` calls (noted in metadata).

@@ -435,9 +435,9 @@ def oracle_sweep_consistency(
     plus a duplicate row to exercise deduplication, swept twice -- once
     EWMA-timed and once with conversion forced at gate 0 so the batched
     DMAV replay is guaranteed to run.  Equality is ``np.array_equal``,
-    not a tolerance: the lockstep kernels replay the single-shot gemm
-    shapes per row (:mod:`repro.core.sweep`), so any drift is a real
-    batching bug, not float noise.
+    not a tolerance: ``run()`` is the one-row case of the same Run
+    kernel the sweep batches (:mod:`repro.core.dmav`), so any drift is a
+    real batching bug, not float noise.
     """
     t0 = time.perf_counter()
     if len(circuit.gates) < 2:

@@ -126,12 +126,40 @@ class TestDMAVNoCache:
 
     @pytest.mark.parametrize("dense_level", [-1, 0, 2, 8])
     def test_dense_level_sweep(self, dense_level):
+        """Both algorithms, unplanned and planned, at every kernel depth.
+
+        Low dense levels push the Run kernel's pass-through, Kronecker and
+        generic branches into play; planned runs write dirty buffers and
+        must match the unplanned reference bit for bit.
+        """
         n = 5
+        threads = 2
         pkg = DDPackage(n)
+        plans = PlanCache(pkg, threads, CostModel(threads), dense_level)
+        arena = BufferArena(1 << n)
         v = random_state(n, seed=2)
-        m = controlled_gate(pkg, H, (2,), (0, 4))
-        w, _ = dmav_nocache(pkg, m, v, 2, dense_level=dense_level)
-        np.testing.assert_allclose(w, matrix_to_dense(pkg, m) @ v, atol=1e-10)
+        gates = [controlled_gate(pkg, H, (2,), (0, 4))] + _random_gates(pkg)
+        for m in gates:
+            ref = matrix_to_dense(pkg, m) @ v
+            plan = plans.get(m)
+            w, _ = dmav_nocache(pkg, m, v, threads, dense_level=dense_level)
+            np.testing.assert_allclose(w, ref, atol=1e-10)
+            planned, _ = dmav_nocache(
+                pkg, m, v, threads, dense_level=dense_level,
+                out=np.full(1 << n, 99.0 + 9j), tasks=plan.row_tasks,
+            )
+            assert np.array_equal(w, planned)
+            wc, _ = dmav_cached(pkg, m, v, threads, dense_level=dense_level)
+            np.testing.assert_allclose(wc, ref, atol=1e-10)
+            planned_c, _ = dmav_cached(
+                pkg, m, v, threads, dense_level=dense_level,
+                out=np.full(1 << n, -7.0 + 3j),
+                assignment=plan.assignment,
+                buffers=arena.partials(plan.assignment.num_buffers),
+                writers=plan.writers, direct=plan.direct,
+                direct_out=plan.direct_out,
+            )
+            assert np.array_equal(wc, planned_c)
 
 
 class TestDMAVCached:

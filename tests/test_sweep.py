@@ -16,6 +16,7 @@ import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.generators.regular import qft
+from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.common.errors import (
     CheckpointError,
     CircuitError,
@@ -23,6 +24,7 @@ from repro.common.errors import (
     ResourceExhaustedError,
     SimulationError,
 )
+from repro.core import dmav
 from repro.core.simulator import FlatDDSimulator
 from repro.resilience.snapshot import read_snapshot
 from repro.verify.fuzz.oracles import phase_aligned_error
@@ -171,12 +173,68 @@ def test_thread_count_invariance():
             assert err <= 1e-9
 
 
-@pytest.mark.parametrize("policy", ["auto", "always", "never"])
-def test_cache_policies_bit_identical(policy):
+@pytest.mark.parametrize(
+    "policy,dense_level",
+    [
+        pytest.param(
+            policy,
+            level,
+            id=policy if level == DENSE_BLOCK_LEVEL else f"{policy}-dl{level}",
+        )
+        for level in (-1, 0, DENSE_BLOCK_LEVEL)
+        for policy in ("auto", "always", "never")
+    ],
+)
+def test_cache_policies_bit_identical(policy, dense_level):
+    """Every cache policy stays exact at every Run-kernel depth.
+
+    At n=4 the default dense level bottoms out in one dense block; levels
+    -1 and 0 run the lockstep kernel's pass-through, Kronecker and generic
+    branches with per-row nodes.
+    """
     c = _template(n=4, layers=2)
-    sim = FlatDDSimulator(threads=2, cache_policy=policy, force_convert_at=0)
+    sim = FlatDDSimulator(
+        threads=2,
+        cache_policy=policy,
+        force_convert_at=0,
+        dense_block_level=dense_level,
+    )
     rows = _rows(c, 4, seed=3)
     result = sim.simulate_sweep(c, rows)
+    _assert_rows_identical(sim, c, rows, result)
+
+
+@pytest.mark.parametrize("policy", ["auto", "always", "never"])
+def test_structurally_divergent_rows_fall_back_per_row(policy, monkeypatch):
+    """Rows whose gate DDs differ in shape below the border level.
+
+    Binding a zero angle makes that row's border node the identity while
+    the other rows' are not, so the batched gate stays batched but the
+    lockstep kernel must replay the divergent level one row at a time --
+    and every row must still equal its own ``run()``.
+    """
+    calls = []
+    rowwise = dmav._lockstep_rowwise
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rowwise(*args, **kwargs)
+
+    monkeypatch.setattr(dmav, "_lockstep_rowwise", counted)
+    c = Circuit(8, name="divergent-rows")
+    for q in range(8):
+        c.h(q)
+    c.cx(0, 1)
+    c.ry(0.0, 0)
+    c.rz(0.0, 3)
+    c.cx(2, 5)
+    rows = [(0.0, 0.3), (0.3, 0.0), (0.3, 0.3), (1.1, 0.2)]
+    sim = FlatDDSimulator(threads=2, cache_policy=policy, force_convert_at=0)
+    result = sim.simulate_sweep(c, rows)
+    counters = result.metadata["obs"]["counters"]
+    assert calls, "the per-row fallback never ran"
+    assert counters["dmav.sweep.gates_batched"] > 0
+    assert counters["dmav.sweep.gates_rowloop"] == 0
     _assert_rows_identical(sim, c, rows, result)
 
 
