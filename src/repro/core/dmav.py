@@ -16,10 +16,21 @@ flat array (no irregularity blow-up).
 
 Both algorithms share one ``Run`` kernel, :func:`run_border_task_batch`:
 border sub-matrix DDs applied to a ``(rows, size)`` slice, one DD per
-row.  DMAV calls it with one row; :mod:`repro.core.sweep` calls it with
-one row per parameter point.  A sweep row's state is therefore
-bit-identical to its own ``run()`` by construction: rows that disagree
-structurally are replayed through the same kernel one row at a time.
+row.  Each entry point has two modes:
+
+* **unplanned** (the reference ``tests/test_dmav.py`` checks against):
+  Assign descends the gate DD afresh and the state is a flat ``2**n``
+  array;
+* **planned** (``plans=``): compiled :class:`~repro.core.plan.GatePlan`
+  task lists, one per row, replay over tile-major ``(threads, rows, h)``
+  input, output and partial batches (``h = 2**n / threads``).  Every
+  plan task is one whole tile, so it reaches the kernel as a
+  C-contiguous ``(rows, h)`` block.  This is the only executor the
+  simulator uses: ``run()`` passes its flat state viewed as
+  ``(threads, 1, h)``, :mod:`repro.core.sweep` one row per parameter
+  point.  A sweep row's state is therefore bit-identical to its own
+  ``run()`` by construction: rows that disagree structurally are
+  replayed through the same executor one row at a time.
 
 The ``Run`` recursion bottoms out on vectorized kernels (identity
 subtrees, Kronecker collapses and cached dense blocks) instead of scalar
@@ -29,6 +40,7 @@ unaffected.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +50,7 @@ from repro.dd.analysis import dense_matrix_block, is_identity, kron_collapse
 from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
 from repro.core.cost_model import CacheAssignment, assign_cache_tasks
+from repro.core.plan import GatePlan
 from repro.parallel.partition import border_level
 from repro.parallel.pool import TaskRunner, validate_thread_count
 from repro.parallel.simd import simd_add, simd_mul_into
@@ -343,7 +356,7 @@ def _apply_lockstep(
 
 def run_border_task_batch(
     pkg: DDPackage,
-    nodes: list[DDNode],
+    nodes: Sequence[DDNode],
     coeffs,
     vin: np.ndarray,
     wout: np.ndarray,
@@ -353,30 +366,22 @@ def run_border_task_batch(
     """Algorithm 1's Run: ``wout[b] (+)= coeffs[b] * M_b vin[b]`` per row.
 
     ``vin``/``wout`` are the task's input and output column ranges as
-    ``(rows, size)`` views (``(rows, 1)`` for terminal tasks) and
-    ``nodes[b]`` is row ``b``'s border sub-matrix.  DMAV calls this with
-    one row; :mod:`repro.core.sweep` calls it with one row per sweep point,
-    slicing the views out of tile-major batch buffers so that
-    chunk-aligned tasks arrive C-contiguous and need no gather copy.  All
-    rows' nodes must be terminal together or not.  The scalar-MAC
-    recursion of the paper's C++ is replaced by the vectorized lockstep
-    kernel (DESIGN.md substitution 2), so a sweep row reproduces its own
-    one-row call bit for bit.  Terminal tasks touch single elements and
-    stay scalar Python complex arithmetic.
+    ``(rows, size)`` views and ``nodes[b]`` is row ``b``'s border
+    sub-matrix.  Border nodes sit at level ``n - log2 t - 1 >= 0`` (the
+    thread count is at most ``2**(n-1)`` and DDs are full height), so
+    ``size`` is the chunk ``h >= 2`` and no task is a terminal.  The
+    unplanned references call this with one row; the planned executors
+    call it with one row per batch row, slicing the views out of
+    tile-major batch buffers so that every task arrives C-contiguous and
+    needs no gather copy.  The scalar-MAC recursion of the paper's C++ is
+    replaced by the vectorized lockstep kernel (DESIGN.md substitution
+    2), so a sweep row reproduces its own one-row call bit for bit.
 
     With ``accumulate=False`` the block is *assigned* instead of
     accumulated, which lets planned runs write into recycled (dirty,
     never-zeroed) buffers; the values only differ from ``0 + x`` in
     signed zeros.
     """
-    if nodes[0] is TERMINAL:
-        if accumulate:
-            for b, c in enumerate(coeffs):
-                wout[b, 0] += c * vin[b, 0]
-        else:
-            for b, c in enumerate(coeffs):
-                wout[b, 0] = c * vin[b, 0]
-        return
     rows, size = vin.shape
     if not vin.flags.c_contiguous:
         vin = np.ascontiguousarray(vin)
@@ -423,80 +428,137 @@ def _run_task(
     i_v: int,
     i_w: int,
     dense_level: int,
-    accumulate: bool = True,
 ) -> None:
-    """One border task of a single state: the one-row Run."""
-    size = 1 if node is TERMINAL else 2 << node.level
+    """One border task of a flat state: the one-row Run, accumulated."""
+    size = 2 << node.level
     run_border_task_batch(
         pkg, [node], [coeff], v[None, i_v:i_v + size],
-        w[None, i_w:i_w + size], dense_level, accumulate,
+        w[None, i_w:i_w + size], dense_level,
     )
+
+
+def _each_thread(runner: TaskRunner | None, threads: int, work) -> None:
+    """Run ``work(u)`` for every thread ``u``, on the pool if there is one."""
+    if runner is not None and runner.use_pool:
+        runner.run([lambda u=u: work(u) for u in range(threads)])
+    else:
+        for u in range(threads):
+            work(u)
+
+
+#: Target bytes of one task slice per planned row block.  The Run kernel
+#: makes several elementwise passes (scale, accumulate, fold) over each
+#: task slice; blocking a sweep's batch into row groups whose slice fits
+#: the CPU cache keeps those passes cache-resident instead of streaming
+#: the whole ``rows x 2**n`` batch through DRAM once per pass.  Rows are
+#: independent in every kernel branch, so the split never changes a bit.
+ROW_BLOCK_BYTES = 1 << 22
+
+
+def _row_blocks(plans: list[GatePlan], *batches: np.ndarray) -> list[tuple]:
+    """Split the rows into blocks of at most ``ROW_BLOCK_BYTES`` per task
+    slice: each block's plans, then each batch's rows of that block."""
+    step = max(1, ROW_BLOCK_BYTES // (batches[0].shape[2] * 16))
+    if step >= len(plans):
+        return [(plans, *batches)]  # one block, as for every run(): no views
+    return [
+        (plans[b0:b0 + step], *(b[:, b0:b0 + step] for b in batches))
+        for b0 in range(0, len(plans), step)
+    ]
+
+
+def _check_batch(
+    pkg: DDPackage, plans: list[GatePlan], v: np.ndarray, out, threads: int
+) -> None:
+    """Validate a planned call's ``(threads, rows, h)`` batches."""
+    shape = (threads, len(plans), (1 << pkg.num_qubits) // threads)
+    if v.shape != shape:
+        raise ValueError(f"planned input batch {v.shape} != {shape}")
+    if out is None or out.shape != shape:
+        raise ValueError(f"planned DMAV needs an output batch of {shape}")
+    if np.may_share_memory(out, v):
+        raise ValueError("DMAV cannot write its output over the input state")
 
 
 def dmav_nocache(
     pkg: DDPackage,
-    m: Edge,
+    m: Edge | None,
     v: np.ndarray,
     threads: int = 1,
     runner: TaskRunner | None = None,
     dense_level: int = DENSE_BLOCK_LEVEL,
     out: np.ndarray | None = None,
     *,
-    tasks: list[list[tuple[DDNode, int, complex]]] | None = None,
+    plans: list[GatePlan] | None = None,
     out_dirty: bool = True,
 ) -> tuple[np.ndarray, DMAVStats]:
     """DMAV without caching (Algorithm 1): returns (w, stats).
 
-    ``tasks`` may be passed from a compiled :class:`~repro.core.plan.GatePlan`
-    (``row_tasks``) to skip the per-call Assign descent.  In that *planned*
-    mode ``out`` is not pre-zeroed: each thread's first task assigns its
-    output slice and the rest accumulate, so a dirty recycled buffer only
-    needs filling (governed by ``out_dirty``) for threads with no tasks.
+    Unplanned (the reference): Assign descends ``m`` afresh and ``v`` /
+    ``out`` are flat ``2**n`` states; ``out`` is zeroed first.
+
+    Planned (``plans`` given; ``m`` is not read): ``plans[b]`` is row
+    ``b``'s compiled :class:`~repro.core.plan.GatePlan` and ``v``/``out``
+    are tile-major ``(threads, rows, 2**n / threads)`` batches -- the
+    one-row batch is a plain state viewed as ``(threads, 1, h)``.  Each
+    thread replays its ``row_tasks`` over its own output tile: the first
+    task assigns the tile and the rest accumulate, so a dirty recycled
+    ``out`` only needs filling (governed by ``out_dirty``) for threads
+    with no tasks.
     """
+    if plans is not None:
+        _check_batch(pkg, plans, v, out, threads)
+        _planned_nocache(pkg, plans, v, out, runner, dense_level, out_dirty)
+        return out, DMAVStats(threads=threads, tasks=plans[0].num_tasks)
     n = pkg.num_qubits
     if v.shape != (1 << n,):
         raise ValueError(f"state length {v.shape} != 2**{n}")
     if out is v:
         raise ValueError("DMAV cannot write its output over the input state")
-    planned = tasks is not None
-    w = out if out is not None else np.zeros_like(v)
-    if out is not None and not planned:
+    if out is None:
+        w = np.zeros_like(v)
+    else:
+        w = out
         w.fill(0)
-    if tasks is None:
-        tasks = assign_tasks(pkg, m, threads)
+    tasks = assign_tasks(pkg, m, threads)
     h = (1 << n) // threads
 
     def work(u: int) -> None:
-        if planned and not tasks[u]:
-            if out_dirty:
-                w[u * h:(u + 1) * h].fill(0)
-            return
-        # Planned: each thread's first task assigns its slice.
-        first = planned
         for node, i_v, coeff in tasks[u]:
-            if first and node is TERMINAL:
-                # A terminal border task writes a single element, not
-                # the whole slice -- fall back to zero-fill + add.
-                w[u * h:(u + 1) * h].fill(0)
-                first = False
-            _run_task(
-                pkg, node, coeff, v, w, i_v, u * h, dense_level,
-                accumulate=not first,
-            )
-            first = False
+            _run_task(pkg, node, coeff, v, w, i_v, u * h, dense_level)
 
-    if runner is not None and runner.use_pool:
-        runner.run([lambda u=u: work(u) for u in range(threads)])
-    else:
-        for u in range(threads):
-            work(u)
+    _each_thread(runner, threads, work)
     stats = DMAVStats(threads=threads, tasks=sum(map(len, tasks)))
     return w, stats
 
 
+def _planned_nocache(pkg, plans, v3, w3, runner, dense_level, out_dirty):
+    """Planned Algorithm 1 over a tile-major batch, one thread per tile."""
+    threads, _rows, h = v3.shape
+    blocks = _row_blocks(plans, v3, w3)
+
+    def work(u: int) -> None:
+        if not plans[0].row_tasks[u]:
+            if out_dirty:
+                w3[u].fill(0)
+            return
+        for block, vb, wb in blocks:
+            wout = wb[u]
+            # ``row`` holds each row's k-th task.  The first task assigns
+            # the whole tile; the rest accumulate.
+            for k, row in enumerate(zip(*[p.row_tasks[u] for p in block])):
+                nodes, offs, coeffs = zip(*row)
+                run_border_task_batch(
+                    pkg, nodes, coeffs, vb[offs[0] // h], wout, dense_level,
+                    accumulate=k > 0,
+                )
+
+    _each_thread(runner, threads, work)
+
+
 def dmav_cached(
     pkg: DDPackage,
-    m: Edge,
+    m: Edge | None,
     v: np.ndarray,
     threads: int = 1,
     runner: TaskRunner | None = None,
@@ -504,29 +566,47 @@ def dmav_cached(
     out: np.ndarray | None = None,
     assignment: CacheAssignment | None = None,
     *,
+    plans: list[GatePlan] | None = None,
     buffers: list[np.ndarray] | None = None,
-    writers: list[list[int]] | None = None,
     out_dirty: bool = True,
-    direct: list[list[bool]] | None = None,
-    direct_out: list[bool] | None = None,
 ) -> tuple[np.ndarray, DMAVStats]:
     """DMAV with caching (Algorithm 2): returns (w, stats).
 
-    ``assignment`` may be passed in when the caller already ran the cost
-    model for this gate (it computes the same partition).
+    Unplanned (the reference): ``assignment`` may be passed in when the
+    caller already ran the cost model for this gate (it computes the
+    same partition); partial buffers are fresh zeroed arrays and every
+    one is summed over every output slice.
 
-    ``buffers``/``writers`` (from a :class:`~repro.parallel.arena.BufferArena`
-    and a compiled :class:`~repro.core.plan.GatePlan`) switch on *planned*
-    mode: partial buffers arrive dirty and are never pre-zeroed -- each
-    buffer slice is written (assigned) by exactly one task, and the
-    summation reads only each output slice's writer list instead of
-    scanning every buffer.  ``out`` is likewise not pre-zeroed; writerless
-    slices are filled only when ``out_dirty``.
-
-    ``direct``/``direct_out`` (also plan-compiled) flag tasks that are the
-    sole producer of their output slice and never feed a later cache hit:
-    they write W in place and the summation skips their slice.
+    Planned (``plans`` given; ``m`` and ``assignment`` are not read): the
+    batches are laid out as in :func:`dmav_nocache`, every row follows
+    row 0's task shape (:func:`repro.core.sweep.run_sweep` checks
+    congruence), and ``buffers`` are ``(threads, rows, h)`` partials from
+    a :class:`~repro.parallel.arena.BufferArena`.  They arrive dirty and
+    are never pre-zeroed: each buffer tile is assigned by exactly one
+    task, the summation reads only each output tile's ``writers``, and
+    ``direct`` tasks (sole producers of their tile, never a hit source)
+    write ``out`` in place.  ``out`` is likewise not pre-zeroed; tiles
+    with no writer are filled only when ``out_dirty``.
     """
+    if plans is not None:
+        _check_batch(pkg, plans, v, out, threads)
+        p0 = plans[0]
+        if buffers is None or len(buffers) < p0.assignment.num_buffers:
+            raise ValueError(
+                f"{0 if buffers is None else len(buffers)} buffers passed, "
+                f"plan needs {p0.assignment.num_buffers}"
+            )
+        _planned_cached(
+            pkg, plans, v, out, buffers, runner, dense_level, out_dirty
+        )
+        stats = DMAVStats(
+            threads=threads,
+            tasks=p0.num_tasks,
+            cache_hits=p0.cost.cache_hits,
+            buffers=p0.assignment.num_buffers,
+            used_cache=True,
+        )
+        return out, stats
     n = pkg.num_qubits
     if v.shape != (1 << n,):
         raise ValueError(f"state length {v.shape} != 2**{n}")
@@ -534,88 +614,44 @@ def dmav_cached(
         raise ValueError("DMAV cannot write its output over the input state")
     if assignment is None:
         assignment = assign_cache_tasks(pkg, m, threads)
-    planned = buffers is not None
-    if planned and writers is None:
-        raise ValueError("planned dmav_cached requires writer lists")
-    if planned and len(buffers) < assignment.num_buffers:
-        raise ValueError(
-            f"{len(buffers)} buffers passed, assignment needs "
-            f"{assignment.num_buffers}"
-        )
     h = (1 << n) // threads
-    if buffers is None:
-        buffers = [
-            np.zeros(1 << n, dtype=np.complex128)
-            for _ in range(assignment.num_buffers)
-        ]
+    buffers = [
+        np.zeros(1 << n, dtype=np.complex128)
+        for _ in range(assignment.num_buffers)
+    ]
     hits = [0] * threads
-    w = out if out is not None else np.zeros_like(v)
-    if out is not None and not planned:
+    if out is None:
+        w = np.zeros_like(v)
+    else:
+        w = out
         w.fill(0)
 
     def work(u: int) -> None:
         # Per-thread result cache: border node -> (coefficient, offset).
         cache: dict[int, tuple[complex, int]] = {}
         buf = buffers[assignment.buffer_of[u]] if assignment.tasks[u] else None
-        flags = direct[u] if direct is not None else None
-        for i, (node, i_p, coeff) in enumerate(assignment.tasks[u]):
-            to_w = flags is not None and flags[i]
+        for node, i_p, coeff in assignment.tasks[u]:
             hit = cache.get(id(node))
             if hit is not None:
                 prev_coeff, prev_off = hit
-                dst = w if to_w else buf
                 simd_mul_into(
-                    dst[i_p:i_p + h],
+                    buf[i_p:i_p + h],
                     buf[prev_off:prev_off + h],
                     coeff / prev_coeff,
                 )
                 hits[u] += 1
-            elif to_w:
-                # Sole producer of output slice i_p // h, never a hit
-                # source: write W in place; sum_block skips this slice.
-                _run_task(
-                    pkg, node, coeff, v, w, u * h, i_p, dense_level,
-                    accumulate=False,
-                )
             else:
-                if planned and node is TERMINAL:
-                    # Terminal border tasks write one element, not the
-                    # whole slice -- zero it so stale data can't leak.
-                    buf[i_p:i_p + h].fill(0)
-                _run_task(
-                    pkg, node, coeff, v, buf, u * h, i_p, dense_level,
-                    accumulate=not planned or node is TERMINAL,
-                )
+                _run_task(pkg, node, coeff, v, buf, u * h, i_p, dense_level)
                 cache[id(node)] = (coeff, i_p)
 
-    if runner is not None and runner.use_pool:
-        runner.run([lambda u=u: work(u) for u in range(threads)])
-    else:
-        for u in range(threads):
-            work(u)
+    _each_thread(runner, threads, work)
 
     def sum_block(u: int) -> None:
         lo, hi = u * h, (u + 1) * h
-        if not planned:
-            for buf in buffers:
-                simd_add(w[lo:hi], buf[lo:hi])
-            return
-        ws = writers[u]
-        if not ws:
-            if direct_out is not None and direct_out[u]:
-                return  # a direct task already wrote this slice in full
-            if out_dirty:
-                w[lo:hi].fill(0)
-            return
-        np.copyto(w[lo:hi], buffers[ws[0]][lo:hi])
-        for b in ws[1:]:
-            simd_add(w[lo:hi], buffers[b][lo:hi])
+        for buf in buffers:
+            simd_add(w[lo:hi], buf[lo:hi])
 
-    if runner is not None and runner.use_pool:
-        runner.run([lambda u=u: sum_block(u) for u in range(threads)])
-    else:
-        for u in range(threads):
-            sum_block(u)
+    _each_thread(runner, threads, sum_block)
     stats = DMAVStats(
         threads=threads,
         tasks=sum(map(len, assignment.tasks)),
@@ -624,3 +660,59 @@ def dmav_cached(
         used_cache=True,
     )
     return w, stats
+
+
+def _planned_cached(pkg, plans, v3, w3, bufs, runner, dense_level, out_dirty):
+    """Planned Algorithm 2 over a tile-major batch, one thread per column."""
+    threads, _rows, h = v3.shape
+    p0 = plans[0]
+    a0 = p0.assignment
+    blocks = _row_blocks(plans, v3, w3, *bufs)
+
+    def work(u: int) -> None:
+        if not a0.tasks[u]:
+            return
+        b = a0.buffer_of[u]
+        flags = p0.direct[u]
+        for block, vb, wb, *bb in blocks:
+            vin = vb[u]
+            buf = bb[b]
+            tasks = [p.assignment.tasks[u] for p in block]
+            seen: dict[int, int] = {}
+            for k, row in enumerate(zip(*tasks)):
+                nodes, offs, coeffs = zip(*row)
+                dst = (wb if flags[k] else buf)[offs[0] // h]
+                src = seen.get(id(nodes[0]))
+                if src is not None:
+                    # Divided per row in scalar arithmetic, as the
+                    # reference does: vectorized complex division rounds
+                    # differently.
+                    ratios = [c / t[src][2] for c, t in zip(coeffs, tasks)]
+                    simd_mul_into(
+                        dst, buf[tasks[0][src][1] // h],
+                        ratios[0] if len(ratios) == 1 else np.array(
+                            ratios, dtype=np.complex128
+                        )[:, None],
+                    )
+                    continue
+                run_border_task_batch(
+                    pkg, nodes, coeffs, vin, dst, dense_level,
+                    accumulate=False,
+                )
+                if not flags[k]:
+                    seen[id(nodes[0])] = k
+
+    _each_thread(runner, threads, work)
+
+    def sum_tile(u: int) -> None:
+        ws = p0.writers[u]
+        if not ws:
+            # A direct task already wrote this tile in full.
+            if out_dirty and not p0.direct_out[u]:
+                w3[u].fill(0)
+            return
+        np.copyto(w3[u], bufs[ws[0]][u])
+        for b in ws[1:]:
+            simd_add(w3[u], bufs[b][u])
+
+    _each_thread(runner, threads, sum_tile)

@@ -32,6 +32,14 @@ Two properties make the compiler more than a per-root dict:
   zeros aside); ``tests/test_dmav.py`` checks planned execution against
   the unplanned ``dmav_cached`` / ``dmav_nocache`` entry points.
 
+**Tileability.**  Paths stop exactly at the border level
+``n - log2 t - 1``, which is at least 0 because the thread count is at
+most ``2**(n-1)``; DDs are full height, so every border node sits on that
+level.  Every task a plan emits therefore starts at a multiple of
+``h = 2**n / t`` and spans exactly ``h``, and no task is a terminal.
+That is what lets the planned executors of :mod:`repro.core.dmav` index
+each task as one whole tile of a ``(threads, rows, h)`` batch.
+
 **Invalidation.**  Plans key nodes by ``id()`` and pin them via direct
 references, so a package garbage collection -- which sweeps unique-table
 entries and can recycle ids -- would silently corrupt the cache.
@@ -53,7 +61,7 @@ from repro.core.cost_model import (
     GateCost,
     assign_buffers,
 )
-from repro.dd.node import TERMINAL, DDNode, Edge
+from repro.dd.node import DDNode, Edge
 from repro.dd.package import DDPackage
 from repro.parallel.partition import border_level
 from repro.parallel.pool import validate_thread_count
@@ -240,8 +248,6 @@ class PlanCache:
         # it is the only task producing that output slice (nothing to sum
         # with), and (b) no later task in its thread hits on its node (the
         # per-thread cache reads hit sources back out of the buffer).
-        # Terminal tasks write single elements, not slices, and stay on
-        # the buffered path.
         slice_tasks = [0] * t
         for tlist in cache_tasks:
             for _bn, i_p, _f in tlist:
@@ -256,11 +262,7 @@ class PlanCache:
             for i, (bn, i_p, _f) in enumerate(tlist):
                 is_source = id(bn) not in seen and last_use[id(bn)] > i
                 seen.add(id(bn))
-                flags.append(
-                    bn is not TERMINAL
-                    and not is_source
-                    and slice_tasks[i_p // h] == 1
-                )
+                flags.append(not is_source and slice_tasks[i_p // h] == 1)
             direct.append(flags)
         writer_sets: list[set[int]] = [set() for _ in range(t)]
         direct_out = [False] * t

@@ -364,7 +364,8 @@ class FlatDDSimulator(Simulator):
             write_snapshot(
                 checkpoint_path,
                 snapshot_array_phase(
-                    pkg, arr, conv_at, cursor, circuit, cfg_digest
+                    pkg, arr.reshape(-1), conv_at, cursor, circuit,
+                    cfg_digest,
                 ),
             )
             return checkpoint_path
@@ -417,55 +418,42 @@ class FlatDDSimulator(Simulator):
             cfg.threads, cfg.use_thread_pool, tracer=tr if tracing else None
         ) as runner:
             c0 = time.perf_counter()
-            if convert_at is None:
-                # Entire circuit stayed regular: finish like DDSIM.
-                array, report = convert_parallel(
+            triggered = convert_at is not None
+            if skip_dd:
+                # Array-phase resume: the snapshot carries the exact
+                # post-conversion (and post-applied-DMAV-gates) array.
+                state = decode_array_state(resume)
+                metadata["conversion_resumed"] = True
+            else:
+                # ---------------- Phase 2: parallel DD-to-array ----------
+                # Untriggered, the circuit stayed regular and this is the
+                # whole run's result, exactly like DDSIM.
+                state, report = convert_parallel(
                     pkg, state_dd, cfg.threads, runner,
                     dense_level=cfg.dense_block_level, tracer=tr,
                     unpermute=unperm,
                 )
                 metadata["conversion_report"] = report
-                meter.sample(dd_bytes(pkg) + array.nbytes)
-                state = array
-                if tracing:
-                    tr.record(
-                        "conversion", "phase", c0, time.perf_counter(),
-                        triggered=False, tasks=report.num_tasks,
-                    )
                 registry.gauge("conversion.seconds").set(report.seconds)
-            else:
-                # ---------------- Phase 2: parallel DD-to-array ----------
-                if skip_dd:
-                    # Array-phase resume: the snapshot carries the exact
-                    # post-conversion (and post-applied-DMAV-gates) array.
-                    state = decode_array_state(resume)
-                    metadata["converted"] = True
-                    metadata["conversion_gate_index"] = convert_at
-                    metadata["conversion_resumed"] = True
-                    meter.sample(dd_bytes(pkg) + state.nbytes)
-                else:
-                    state, report = convert_parallel(
-                        pkg, state_dd, cfg.threads, runner,
-                        dense_level=cfg.dense_block_level, tracer=tr,
-                        unpermute=unperm,
-                    )
-                    metadata["converted"] = True
-                    metadata["conversion_gate_index"] = convert_at
-                    metadata["conversion_report"] = report
+                if triggered:
                     release_dd_phase(
                         pkg, gates, guard,
                         barrier=checkpoint_every is not None
                         or resume is not None,
                     )
-                    meter.sample(dd_bytes(pkg) + state.nbytes)
-                    if tracing:
-                        tr.record(
-                            "conversion", "phase", c0, time.perf_counter(),
-                            triggered=True, gate_index=convert_at,
-                            tasks=report.num_tasks,
-                            scalar_fills=report.num_scalar_fills,
-                        )
-                    registry.gauge("conversion.seconds").set(report.seconds)
+            meter.sample(dd_bytes(pkg) + state.nbytes)
+            if tracing and not skip_dd:
+                fields = {"tasks": report.num_tasks}
+                if triggered:
+                    fields["gate_index"] = convert_at
+                    fields["scalar_fills"] = report.num_scalar_fills
+                tr.record(
+                    "conversion", "phase", c0, time.perf_counter(),
+                    triggered=triggered, **fields,
+                )
+            if triggered:
+                metadata["converted"] = True
+                metadata["conversion_gate_index"] = convert_at
                 guard.check_array(
                     meter.last_bytes,
                     convert_at,
@@ -500,7 +488,11 @@ class FlatDDSimulator(Simulator):
 
                 d0 = time.perf_counter()
                 plans = PlanCache(pkg, cfg.threads, model, cfg.dense_block_level)
-                arena = BufferArena(state.size)
+                # The array phase is the one-row case of the sweep's planned
+                # batch: the state is held as a (threads, 1, h) view of the
+                # same memory, and each gate writes the arena's next one.
+                arena = BufferArena(state.size, tiles=cfg.threads)
+                state = state.reshape(cfg.threads, 1, -1)
                 dmav_macs = 0
                 dmav_cache_hits = 0
                 gate_costs: list[tuple[int, float, float, bool]] = []
@@ -514,24 +506,25 @@ class FlatDDSimulator(Simulator):
                     use_cache = resolve_use_cache(cfg.cache_policy, cost)
                     w_buf, w_dirty = arena.output()
                     if use_cache:
-                        bufs = arena.partials(plan.assignment.num_buffers)
-                        w_buf, stats = dmav_cached(
-                            pkg, edge, state, cfg.threads, runner,
-                            cfg.dense_block_level, out=w_buf,
-                            assignment=plan.assignment, buffers=bufs,
-                            writers=plan.writers, out_dirty=w_dirty,
-                            direct=plan.direct, direct_out=plan.direct_out,
+                        dmav_cached(
+                            pkg, None, state, cfg.threads, runner,
+                            cfg.dense_block_level, out=w_buf, plans=[plan],
+                            buffers=arena.partials(
+                                plan.assignment.num_buffers
+                            ),
+                            out_dirty=w_dirty,
                         )
                     else:
-                        w_buf, stats = dmav_nocache(
-                            pkg, edge, state, cfg.threads, runner,
-                            cfg.dense_block_level, out=w_buf,
-                            tasks=plan.row_tasks, out_dirty=w_dirty,
+                        dmav_nocache(
+                            pkg, None, state, cfg.threads, runner,
+                            cfg.dense_block_level, out=w_buf, plans=[plan],
+                            out_dirty=w_dirty,
                         )
                     arena.retire(state)
                     state = w_buf
+                    hits = cost.cache_hits if use_cache else 0
                     dmav_macs += cost.macs_total
-                    dmav_cache_hits += stats.cache_hits
+                    dmav_cache_hits += hits
                     gate_costs.append(
                         (cost.macs_total, cost.cost_nocache, cost.cost_cache,
                          use_cache)
@@ -554,7 +547,7 @@ class FlatDDSimulator(Simulator):
                             macs=cost.macs_total, cached=use_cache,
                             cost_cache=cost.cost_cache,
                             cost_nocache=cost.cost_nocache,
-                            cache_hits=stats.cache_hits,
+                            cache_hits=hits,
                         )
                     meter.sample(
                         dd_bytes(pkg)
@@ -583,6 +576,7 @@ class FlatDDSimulator(Simulator):
                     if deadline is not None and time.perf_counter() > deadline:
                         timed_out = True
                         break
+                state = state.reshape(-1)
                 if tracing:
                     tr.record(
                         "dmav_phase", "phase", d0, time.perf_counter(),

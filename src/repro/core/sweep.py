@@ -20,13 +20,14 @@ it three ways:
    for parameterless gates and share the structural border-path memo for
    per-row rotation roots.
 3. **Batched replay.**  The remaining gates replay over a *tile-major*
-   ``(threads, rows, 2**n / threads)`` batch -- DMAV task slices are
-   chunk-aligned, so each becomes one C-contiguous ``(rows, chunk)``
-   block -- through the Run kernel of :mod:`repro.core.dmav`
-   (:func:`~repro.core.dmav.run_border_task_batch`, whose one-row case
-   is what ``run()`` executes), row-blocked (``ROW_BLOCK_BYTES``) so
-   task slices stay cache-resident.  The array phase becomes batched
-   matrix x matrix work.
+   ``(threads, rows, 2**n / threads)`` batch through the planned mode of
+   :func:`~repro.core.dmav.dmav_nocache` /
+   :func:`~repro.core.dmav.dmav_cached` -- one call per gate column,
+   the same executor ``run()`` calls with one row.  Every DMAV task is
+   one whole tile, so it becomes one C-contiguous ``(rows, chunk)``
+   block, and the array phase becomes batched matrix x matrix work.
+   A gate column whose per-row plans cannot share one replay runs the
+   same entry point on each row's one-row column ``v3[:, r:r+1]``.
 
 **Bit-identity contract.**  Every batch row equals (``np.array_equal``,
 the repo-wide replay standard: signed zeros aside) the state of
@@ -40,7 +41,7 @@ row's own run builds its tail in; a
 :meth:`~repro.dd.package.DDPackage.build_mark` taken there and a
 rewind after each row give every row that same starting state.  The
 array phase then holds by construction: ``run()`` is the one-row call
-of the same Run kernel, and any structural incongruence between
+of the same planned executor, and any structural incongruence between
 per-row plans drops that gate (or kernel recursion level) to a per-row
 replay of it.
 
@@ -62,7 +63,7 @@ from repro.common.config import config_digest
 from repro.common.errors import SimulationError
 from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel, resolve_use_cache
-from repro.core.dmav import dmav_cached, dmav_nocache, run_border_task_batch
+from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.core.ewma import EWMAMonitor
 from repro.core.plan import GatePlan, PlanCache
 from repro.core.reorder import (
@@ -71,7 +72,6 @@ from repro.core.reorder import (
     unpermute_axes,
 )
 from repro.core.simulator import release_dd_phase, run_dd_phase
-from repro.dd.node import TERMINAL
 from repro.dd.package import DDPackage
 from repro.dd.vector import zero_state
 
@@ -84,7 +84,6 @@ from repro.metrics.memory import MemoryMeter, dd_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.arena import BufferArena
 from repro.parallel.pool import TaskRunner, validate_thread_count
-from repro.parallel.simd import simd_add, simd_mul_into
 from repro.resilience.guard import MemoryGuard
 from repro.resilience.snapshot import snapshot_sweep_phase, write_snapshot
 
@@ -140,12 +139,12 @@ def _hit_pattern(tasks) -> tuple:
 
 
 def _tasks_congruent(tasks0, tasks) -> bool:
-    """Same shape: per-thread counts, offsets, and terminality classes."""
+    """Same shape: per-thread task counts and offsets."""
     for t0, t in zip(tasks0, tasks):
         if len(t0) != len(t):
             return False
-        for (n0, i0, _c0), (n1, i1, _c1) in zip(t0, t):
-            if i0 != i1 or ((n0 is TERMINAL) != (n1 is TERMINAL)):
+        for (_n0, i0, _c0), (_n1, i1, _c1) in zip(t0, t):
+            if i0 != i1:
                 return False
     return True
 
@@ -182,157 +181,10 @@ def _plans_congruent(plans: list[GatePlan], use_cache: bool) -> bool:
     return True
 
 
-#: Target bytes of one task slice per executor row block.  The batched
-#: kernels make several elementwise passes (scale, accumulate, fold) over
-#: each task slice; blocking the batch into row groups whose slice fits
-#: the CPU cache keeps those passes cache-resident the way single-shot
-#: 1-D slices are, instead of streaming the whole ``rows x 2**n`` batch
-#: through DRAM once per pass.  Blocking never changes per-row
-#: arithmetic -- rows are independent in every kernel branch -- so the
-#: bit-identity contract is unaffected by the split.
-ROW_BLOCK_BYTES = 1 << 22
-
-
-def _block_step(h: int, rows: int) -> int:
-    """Rows per executor block for chunk size ``h`` (at least 1)."""
-    return max(1, min(rows, ROW_BLOCK_BYTES // (h * 16)))
-
-
-def _tile_cols(t3, off, size):
-    """View of logical columns ``[off, off+size)`` of a tile-major batch.
-
-    ``t3`` has shape ``(tiles, rows, h)``; the caller guarantees the
-    range lies within one tile (`_plan_tileable`), so chunk-sized ranges
-    come back as the C-contiguous ``(rows, h)`` tile itself.
-    """
-    h = t3.shape[2]
-    t, lo = divmod(off, h)
-    if lo == 0 and size == h:
-        return t3[t]
-    return t3[t][:, lo:lo + size]
-
-
 def _untile(t3):
     """Copy a ``(tiles, rows, h)`` batch back to logical ``(rows, 2**n)``."""
     rows = t3.shape[1]
     return np.ascontiguousarray(t3.transpose(1, 0, 2)).reshape(rows, -1)
-
-
-def _retile(t3, flat2):
-    """Scatter logical ``(rows, 2**n)`` states into a tile-major batch."""
-    tiles, rows, h = t3.shape
-    t3[:] = flat2.reshape(rows, tiles, h).transpose(1, 0, 2)
-
-
-def _plan_tileable(plan: GatePlan, use_cache: bool, h: int) -> bool:
-    """Whether every task slice of ``plan`` stays within one ``h`` tile.
-
-    Row-major task reads are size-aligned power-of-two blocks and cached
-    column offsets are chunk multiples, so real plans always pass; the
-    check guards the tile-view executors against any exotic plan shape by
-    dropping the gate to the exact per-row path instead.
-    """
-    if use_cache:
-        for tlist in plan.assignment.tasks:
-            for node, i_p, _c in tlist:
-                if i_p % h:
-                    return False
-                if node is not TERMINAL and 2 << node.level > h:
-                    return False
-        return True
-    for tlist in plan.row_tasks:
-        for node, i_v, _c in tlist:
-            if node is TERMINAL:
-                continue
-            size = 2 << node.level
-            if size > h or (i_v % h) + size > h:
-                return False
-    return True
-
-
-def _batched_nocache(pkg, plans, v3, w3, threads, dense_level, out_dirty):
-    """Planned ``dmav_nocache`` replayed over a tile-major batch."""
-    h = v3.shape[2]
-    for u in range(threads):
-        tasks0 = plans[0].row_tasks[u]
-        if not tasks0:
-            if out_dirty:
-                w3[u].fill(0)
-            continue
-        first = True
-        for k, (node0, i_v, _c) in enumerate(tasks0):
-            if first and node0 is TERMINAL:
-                w3[u].fill(0)
-                first = False
-            nodes = [p.row_tasks[u][k][0] for p in plans]
-            coeffs = [p.row_tasks[u][k][2] for p in plans]
-            size = 1 if node0 is TERMINAL else 2 << node0.level
-            run_border_task_batch(
-                pkg, nodes, coeffs,
-                _tile_cols(v3, i_v, size), _tile_cols(w3, u * h, size),
-                dense_level, accumulate=not first,
-            )
-            first = False
-
-
-def _batched_cached(pkg, plans, v3, w3, threads, dense_level, bufs, out_dirty):
-    """Planned ``dmav_cached`` replayed over a tile-major batch.
-
-    Cache-hit ratios are divided per row in scalar arithmetic before
-    being assembled into a column vector: scalar and vectorized complex
-    division round differently, and the single-shot path divides scalars.
-    """
-    h = v3.shape[2]
-    a0 = plans[0].assignment
-    for u in range(threads):
-        tasks0 = a0.tasks[u]
-        buf = bufs[a0.buffer_of[u]] if tasks0 else None
-        flags = plans[0].direct[u]
-        seen: dict[int, int] = {}
-        for k, (node0, i_p, _c) in enumerate(tasks0):
-            to_w = flags[k]
-            src = seen.get(id(node0))
-            if src is not None:
-                prev_off = tasks0[src][1]
-                ratios = np.array(
-                    [
-                        p.assignment.tasks[u][k][2]
-                        / p.assignment.tasks[u][src][2]
-                        for p in plans
-                    ],
-                    dtype=np.complex128,
-                )[:, None]
-                dst = w3 if to_w else buf
-                simd_mul_into(dst[i_p // h], buf[prev_off // h], ratios)
-                continue
-            nodes = [p.assignment.tasks[u][k][0] for p in plans]
-            coeffs = [p.assignment.tasks[u][k][2] for p in plans]
-            size = 1 if node0 is TERMINAL else 2 << node0.level
-            vin = _tile_cols(v3, u * h, size)
-            if to_w:
-                run_border_task_batch(
-                    pkg, nodes, coeffs, vin, _tile_cols(w3, i_p, size),
-                    dense_level, accumulate=False,
-                )
-            else:
-                if node0 is TERMINAL:
-                    buf[i_p // h].fill(0)
-                run_border_task_batch(
-                    pkg, nodes, coeffs, vin, _tile_cols(buf, i_p, size),
-                    dense_level, accumulate=node0 is TERMINAL,
-                )
-                seen[id(node0)] = k
-    for u in range(threads):
-        ws = plans[0].writers[u]
-        if not ws:
-            if plans[0].direct_out[u]:
-                continue
-            if out_dirty:
-                w3[u].fill(0)
-            continue
-        np.copyto(w3[u], bufs[ws[0]][u])
-        for b in ws[1:]:
-            simd_add(w3[u], bufs[b][u])
 
 
 def run_sweep(
@@ -402,12 +254,19 @@ def run_sweep(
         # Fusion emits per-run gate groupings the lockstep replay does
         # not model; dedup still pays, batching does not apply.
         metadata["mode"] = "fallback-fusion"
-        ustates = []
-        peak = 0
-        for c in uniq:
-            r = sim.run(c, tracer=tracer)
-            ustates.append(r.state)
-            peak = max(peak, r.peak_memory_bytes)
+        runs = [sim.run(c, tracer=tracer) for c in uniq]
+        ustates = [r.state for r in runs]
+        peak = max(r.peak_memory_bytes for r in runs)
+        metadata["conversion_gate_index"] = (
+            runs[0].metadata["conversion_gate_index"]
+        )
+        metadata["dmav_macs_total"] = sum(
+            r.metadata.get("dmav_macs_total", 0) for r in runs
+        )
+        for key in ("dmav.gates", "dmav.macs", "dmav.cache_hits"):
+            registry.counter(key).inc(sum(
+                r.metadata["obs"]["counters"].get(key, 0) for r in runs
+            ))
         states = np.empty((num_rows, 1 << n), dtype=np.complex128)
         for i, fp in enumerate(fps):
             states[i] = ustates[first_of[fp]]
@@ -476,6 +335,9 @@ def run_sweep(
     }
     arena_totals = {"output_allocs": 0, "partial_allocs": 0,
                     "partial_reuses": 0}
+    dmav_gates = 0
+    dmav_macs = 0
+    dmav_cache_hits = 0
     ustates: list[np.ndarray | None] = [None] * len(uniq)
     conversions = []
 
@@ -518,10 +380,7 @@ def run_sweep(
                 pkg.rewind_to_mark(build_mark)
                 gates.rewind(gate_mark)
                 row_rewinds += 1
-            h = conv.size // cfg.threads
-            v3 = np.repeat(
-                conv.reshape(cfg.threads, 1, h), rows, axis=1
-            )
+            v3 = np.repeat(conv.reshape(cfg.threads, 1, -1), rows, axis=1)
             meter.sample(dd_bytes(pkg) + v3.nbytes)
             guard.check_array(
                 meter.last_bytes, convert_at,
@@ -535,69 +394,49 @@ def run_sweep(
             plan_cache = PlanCache(
                 pkg, cfg.threads, model, cfg.dense_block_level
             )
-            arena = BufferArena(conv.size, rows=rows, tiles=cfg.threads)
+            arena = BufferArena(conv.size, tiles=cfg.threads, rows=rows)
             n_remaining = len(uniq[members[0]].gates) - convert_at - 1
+            dmav_gates += rows * n_remaining
             for j in range(n_remaining):
                 plans = [plan_cache.get(er[j]) for er in edges_rows]
                 verdicts = [
                     resolve_use_cache(cfg.cache_policy, p.cost) for p in plans
                 ]
                 uc = verdicts[0]
-                congruent = (
-                    all(v == uc for v in verdicts)
-                    and _plan_tileable(plans[0], uc, h)
-                    and _plans_congruent(plans, uc)
-                )
                 w_buf, w_dirty = arena.output()
-                step = _block_step(h, rows)
-                if congruent and uc:
-                    bufs = arena.partials(plans[0].assignment.num_buffers)
-                    for b0 in range(0, rows, step):
-                        b1 = min(b0 + step, rows)
-                        _batched_cached(
-                            pkg, plans[b0:b1], v3[:, b0:b1],
-                            w_buf[:, b0:b1], cfg.threads,
-                            cfg.dense_block_level,
-                            [bf[:, b0:b1] for bf in bufs], w_dirty,
-                        )
-                    gates_batched += 1
-                elif congruent:
-                    for b0 in range(0, rows, step):
-                        b1 = min(b0 + step, rows)
-                        _batched_nocache(
-                            pkg, plans[b0:b1], v3[:, b0:b1],
-                            w_buf[:, b0:b1], cfg.threads,
-                            cfg.dense_block_level, w_dirty,
-                        )
+                if all(v == uc for v in verdicts) and _plans_congruent(
+                    plans, uc
+                ):
+                    calls = [(plans, uc, slice(None))]
                     gates_batched += 1
                 else:
-                    # Exact per-row replay on logical (rows, 2**n) views;
-                    # the tile-major invariant is restored by scattering
-                    # the produced states back into the arena buffer.
-                    v2 = _untile(v3)
-                    w2 = np.empty_like(v2)
-                    for r, (plan, v) in enumerate(zip(plans, verdicts)):
-                        if v:
-                            row_bufs = [
-                                np.empty(conv.size, dtype=np.complex128)
-                                for _ in range(plan.assignment.num_buffers)
-                            ]
-                            dmav_cached(
-                                pkg, edges_rows[r][j], v2[r], cfg.threads,
-                                None, cfg.dense_block_level, out=w2[r],
-                                assignment=plan.assignment,
-                                buffers=row_bufs, writers=plan.writers,
-                                out_dirty=True, direct=plan.direct,
-                                direct_out=plan.direct_out,
-                            )
-                        else:
-                            dmav_nocache(
-                                pkg, edges_rows[r][j], v2[r], cfg.threads,
-                                None, cfg.dense_block_level, out=w2[r],
-                                tasks=plan.row_tasks, out_dirty=True,
-                            )
-                    _retile(w_buf, w2)
+                    # Exact per-row replay: the same planned entry point
+                    # on each row's one-row column of the batch.
+                    calls = [
+                        ([p], v, slice(r, r + 1))
+                        for r, (p, v) in enumerate(zip(plans, verdicts))
+                    ]
                     gates_rowloop += 1
+                for bplans, use_cache, cols in calls:
+                    if use_cache:
+                        bufs = arena.partials(
+                            bplans[0].assignment.num_buffers
+                        )
+                        dmav_cached(
+                            pkg, None, v3[:, cols], cfg.threads, runner,
+                            cfg.dense_block_level, out=w_buf[:, cols],
+                            plans=bplans, buffers=[bf[:, cols] for bf in bufs],
+                            out_dirty=w_dirty,
+                        )
+                    else:
+                        dmav_nocache(
+                            pkg, None, v3[:, cols], cfg.threads, runner,
+                            cfg.dense_block_level, out=w_buf[:, cols],
+                            plans=bplans, out_dirty=w_dirty,
+                        )
+                for p, v in zip(plans, verdicts):
+                    dmav_macs += p.cost.macs_total
+                    dmav_cache_hits += p.cost.cache_hits if v else 0
                 arena.retire(v3)
                 v3 = w_buf
                 # Per-row rotation roots each cache full diagonals/dense
@@ -635,6 +474,9 @@ def run_sweep(
     for i, fp in enumerate(fps):
         states[i] = ustates[first_of[fp]]
 
+    registry.counter("dmav.gates").inc(dmav_gates)
+    registry.counter("dmav.macs").inc(dmav_macs)
+    registry.counter("dmav.cache_hits").inc(dmav_cache_hits)
     registry.counter("dmav.sweep.gates_batched").inc(gates_batched)
     registry.counter("dmav.sweep.gates_rowloop").inc(gates_rowloop)
     registry.counter("dmav.sweep.row_rewinds").inc(row_rewinds)
@@ -648,6 +490,9 @@ def run_sweep(
     )
     registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
     metadata["groups"] = len(groups)
+    # Row 0's group: what row 0's own run() reports.
+    metadata["conversion_gate_index"] = groups[0]["convert_at"]
+    metadata["dmav_macs_total"] = dmav_macs
     metadata["gates_batched"] = gates_batched
     metadata["gates_rowloop"] = gates_rowloop
     metadata["conversion_seconds"] = sum(conversions)

@@ -1,15 +1,15 @@
 """Persistent buffer arena for the DMAV array phase.
 
-The array-phase hot loop needs three kinds of ``2**n`` complex128 scratch
-memory per gate: the output array it writes (``w``), and -- for cached
-DMAV -- the partial output buffers of Algorithm 2.  Before the plan
-compiler, ``dmav_cached`` allocated (and zero-filled) ``num_buffers``
-fresh arrays per gate application and the simulator zero-filled the
-ping-pong output on every gate; at 20 qubits that is 16 MiB of pages
-faulted and memset per buffer per gate.
+The array-phase hot loop needs two kinds of scratch memory per gate: the
+output array it writes (``w``), and -- for cached DMAV -- the partial
+output buffers of Algorithm 2.  Allocating (and zero-filling) them per
+gate would, at 20 qubits, fault and memset 16 MiB per buffer per gate.
 
-:class:`BufferArena` owns this memory for the lifetime of one simulation
-run:
+:class:`BufferArena` owns this memory for the lifetime of one array
+phase.  Every buffer has one shape, the tile-major batch
+``(tiles, rows, size // tiles)`` that the planned ``dmav_nocache`` /
+``dmav_cached`` execute over: one tile per DMAV thread chunk, one row
+per state (``run()`` holds one row, a sweep one per parameter point).
 
 * **output ping-pong** -- :meth:`output` hands out the next output array
   together with a ``dirty`` flag; after the gate, :meth:`retire` returns
@@ -21,9 +21,9 @@ run:
 * **partial pool** -- :meth:`partials` returns the first ``count``
   buffers of a grow-only pool.  Buffers are never zeroed by the arena:
   the planned ``dmav_cached`` write-path assigns (rather than
-  accumulates) each buffer slice exactly once, so stale contents are
-  simply overwritten and unwritten slices are never read (the plan's
-  writer lists say which slices each buffer actually produced).
+  accumulates) each buffer tile exactly once, so stale contents are
+  simply overwritten and unwritten tiles are never read (the plan's
+  writer lists say which tiles each buffer actually produced).
 
 The allocation counters make "zero per-gate allocations after warm-up"
 an assertable property instead of a timing inference:
@@ -42,38 +42,26 @@ __all__ = ["BufferArena"]
 class BufferArena:
     """Reusable output + partial-buffer memory for one DMAV phase."""
 
-    def __init__(
-        self, size: int, rows: int | None = None, tiles: int | None = None
-    ) -> None:
+    def __init__(self, size: int, tiles: int = 1, rows: int = 1) -> None:
         if size < 1:
             raise ValueError(f"arena size must be >= 1, got {size}")
-        if rows is not None and rows < 1:
+        if rows < 1:
             raise ValueError(f"arena rows must be >= 1, got {rows}")
-        if tiles is not None:
-            if rows is None:
-                raise ValueError("arena tiles require rows")
-            if tiles < 1 or size % tiles:
-                raise ValueError(
-                    f"arena tiles must divide size, got {tiles} for {size}"
-                )
-        #: Amplitudes per buffer (``2**n``).
+        if tiles < 1 or size % tiles:
+            raise ValueError(
+                f"arena tiles must divide size, got {tiles} for {size}"
+            )
+        #: Amplitudes per row (``2**n``).
         self.size = size
-        #: Batch rows per buffer (``None`` = single-shot 1-D buffers).
-        #: The sweep path (:mod:`repro.core.sweep`) hands every DMAV gate
-        #: a batched ping-pong output and batched partials so the whole
-        #: batch shares one arena warm-up.
-        self.rows = rows
-        #: Batched buffers are *tile-major*: ``(tiles, rows, size//tiles)``
-        #: with one tile per DMAV thread chunk, so every chunk-aligned
-        #: task slice is one C-contiguous ``(rows, chunk)`` block instead
-        #: of a strided column range of a ``(rows, 2**n)`` array.
+        #: Tiles per buffer: one per DMAV thread chunk.
         self.tiles = tiles
-        if rows is None:
-            self._shape: tuple[int, ...] = (size,)
-        elif tiles is None:
-            self._shape = (rows, size)
-        else:
-            self._shape = (tiles, rows, size // tiles)
+        #: Batch rows per buffer (1 for ``run()``, one per sweep point).
+        self.rows = rows
+        #: Every buffer is *tile-major*, ``(tiles, rows, size // tiles)``,
+        #: so each chunk-aligned task slice is one C-contiguous
+        #: ``(rows, chunk)`` block.  With one row this is the flat state's
+        #: own memory layout: ``state.reshape(tiles, 1, -1)`` is a view.
+        self._shape = (tiles, rows, size // tiles)
         self._output: np.ndarray | None = None
         self._output_dirty = False
         self._partials: list[np.ndarray] = []

@@ -13,6 +13,7 @@ from repro.core.dmav import assign_tasks, dmav_cached, dmav_nocache
 from repro.core.plan import PlanCache
 from repro.dd import DDPackage, matrix_to_dense, single_qubit_gate
 from repro.dd.matrix import controlled_gate
+from repro.dd.node import TERMINAL
 from repro.parallel.arena import BufferArena
 from repro.parallel.partition import border_level
 from repro.parallel.pool import TaskRunner
@@ -38,6 +39,24 @@ def _random_gates(pkg, seed=0):
         Gate("cp", (n - 2,), (1,), params=(0.3,)) if n >= 3 else Gate("z", (0,)),
     ]
     return [build_gate_dd(pkg, g) for g in gates]
+
+
+def _planned(fn, pkg, plans, v, threads, fill, **kw):
+    """One planned call on the tile-major batch of the flat rows ``v``.
+
+    ``v`` holds one state per row; the output batch starts filled with
+    ``fill`` (a dirty recycled buffer).  Returns the ``(rows, 2**n)``
+    result and the call's stats.
+    """
+    v = np.atleast_2d(v)
+    rows, size = v.shape
+    v3 = np.ascontiguousarray(v.reshape(rows, threads, -1).transpose(1, 0, 2))
+    out = np.full(v3.shape, fill)
+    w3, stats = fn(
+        pkg, None, v3, threads, out=out, plans=plans, out_dirty=True, **kw
+    )
+    assert w3 is out
+    return w3.transpose(1, 0, 2).reshape(rows, size), stats
 
 
 class TestAssign:
@@ -136,7 +155,7 @@ class TestDMAVNoCache:
         threads = 2
         pkg = DDPackage(n)
         plans = PlanCache(pkg, threads, CostModel(threads), dense_level)
-        arena = BufferArena(1 << n)
+        arena = BufferArena(1 << n, tiles=threads)
         v = random_state(n, seed=2)
         gates = [controlled_gate(pkg, H, (2,), (0, 4))] + _random_gates(pkg)
         for m in gates:
@@ -144,22 +163,19 @@ class TestDMAVNoCache:
             plan = plans.get(m)
             w, _ = dmav_nocache(pkg, m, v, threads, dense_level=dense_level)
             np.testing.assert_allclose(w, ref, atol=1e-10)
-            planned, _ = dmav_nocache(
-                pkg, m, v, threads, dense_level=dense_level,
-                out=np.full(1 << n, 99.0 + 9j), tasks=plan.row_tasks,
+            planned, _ = _planned(
+                dmav_nocache, pkg, [plan], v, threads, 99.0 + 9j,
+                dense_level=dense_level,
             )
-            assert np.array_equal(w, planned)
+            assert np.array_equal(w, planned[0])
             wc, _ = dmav_cached(pkg, m, v, threads, dense_level=dense_level)
             np.testing.assert_allclose(wc, ref, atol=1e-10)
-            planned_c, _ = dmav_cached(
-                pkg, m, v, threads, dense_level=dense_level,
-                out=np.full(1 << n, -7.0 + 3j),
-                assignment=plan.assignment,
+            planned_c, _ = _planned(
+                dmav_cached, pkg, [plan], v, threads, -7.0 + 3j,
+                dense_level=dense_level,
                 buffers=arena.partials(plan.assignment.num_buffers),
-                writers=plan.writers, direct=plan.direct,
-                direct_out=plan.direct_out,
             )
-            assert np.array_equal(wc, planned_c)
+            assert np.array_equal(wc, planned_c[0])
 
 
 class TestDMAVCached:
@@ -257,6 +273,30 @@ class TestGatePlan:
             )
             assert plan.assignment.buffer_of == legacy_cache.buffer_of
             assert plan.assignment.num_buffers == legacy_cache.num_buffers
+
+    @pytest.mark.parametrize("dense_level", [-1, 0, 5])
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    def test_every_task_spans_one_whole_tile(self, threads, dense_level):
+        """The tileability invariant the planned executors index by.
+
+        Every row and column task starts at a multiple of the chunk
+        ``h = 2**n / t`` and spans exactly ``h``, so it is one whole tile
+        of a ``(threads, rows, h)`` batch.  A task could only be terminal
+        with ``h == 1``, which the thread-count rule (``t <= 2**(n-1)``)
+        rules out.
+        """
+        for n in (4, 6):
+            pkg = DDPackage(n)
+            plans = PlanCache(pkg, threads, CostModel(threads), dense_level)
+            h = (1 << n) // threads
+            assert h >= 2
+            for m in _random_gates(pkg):
+                plan = plans.get(m)
+                for tlist in plan.row_tasks + plan.assignment.tasks:
+                    for node, off, _c in tlist:
+                        assert node is not TERMINAL
+                        assert off % h == 0
+                        assert 2 << node.level == h
 
     def test_plan_cost_matches_cost_model(self):
         n = 5
@@ -367,7 +407,7 @@ class TestGatePlan:
 
 
 class TestPlannedExecution:
-    """Planned kernels must be bit-identical to the legacy hot loop."""
+    """The planned batch executor must be bit-identical to the reference."""
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_planned_nocache_bit_identical(self, threads):
@@ -377,65 +417,76 @@ class TestPlannedExecution:
         v = random_state(n, seed=threads)
         for m in _random_gates(pkg):
             legacy, _ = dmav_nocache(pkg, m, v, threads)
-            dirty = np.full(1 << n, 99.0 + 9j)
-            planned, _ = dmav_nocache(
-                pkg, m, v, threads, out=dirty,
-                tasks=plans.get(m).row_tasks, out_dirty=True,
+            planned, _ = _planned(
+                dmav_nocache, pkg, [plans.get(m)], v, threads, 99.0 + 9j
             )
-            assert np.array_equal(legacy, planned)
+            assert np.array_equal(legacy, planned[0])
 
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_planned_cached_bit_identical(self, threads):
         n = 5
         pkg = DDPackage(n)
         plans = _plan_cache(pkg, threads)
-        arena = BufferArena(1 << n)
+        arena = BufferArena(1 << n, tiles=threads)
         v = random_state(n, seed=threads + 20)
         for m in _random_gates(pkg):
             plan = plans.get(m)
             legacy, s1 = dmav_cached(pkg, m, v, threads)
-            out = np.full(1 << n, -7.0 + 3j)
-            bufs = arena.partials(plan.assignment.num_buffers)
-            planned, s2 = dmav_cached(
-                pkg, m, v, threads, out=out,
-                assignment=plan.assignment, buffers=bufs,
-                writers=plan.writers, out_dirty=True,
-                direct=plan.direct, direct_out=plan.direct_out,
+            planned, s2 = _planned(
+                dmav_cached, pkg, [plan], v, threads, -7.0 + 3j,
+                buffers=arena.partials(plan.assignment.num_buffers),
             )
-            assert np.array_equal(legacy, planned)
+            assert np.array_equal(legacy, planned[0])
             assert s1.cache_hits == s2.cache_hits
+
+    @pytest.mark.parametrize("fn", [dmav_nocache, dmav_cached])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_batch_rows_match_their_own_runs(self, fn, threads):
+        """Rows with their own plans (different rz angles) in one batch,
+        on the thread pool: each row equals its own unplanned run."""
+        n = 5
+        pkg = DDPackage(n)
+        plans = _plan_cache(pkg, threads)
+        rows = [0.3, -1.2, 2.5]
+        gates = [
+            build_gate_dd(pkg, Gate("rz", (1,), params=(a,))) for a in rows
+        ]
+        v = np.stack([random_state(n, seed=s) for s in range(len(rows))])
+        arena = BufferArena(1 << n, tiles=threads, rows=len(rows))
+        row_plans = [plans.get(m) for m in gates]
+        kw = {}
+        if fn is dmav_cached:
+            kw["buffers"] = arena.partials(
+                row_plans[0].assignment.num_buffers
+            )
+        with TaskRunner(threads, use_pool=True) as runner:
+            batch, _ = _planned(
+                fn, pkg, row_plans, v, threads, 5.0 - 5j, runner=runner, **kw
+            )
+        for r, m in enumerate(gates):
+            ref, _ = fn(pkg, m, v[r], threads)
+            assert np.array_equal(batch[r], ref)
 
     def test_dirty_buffers_never_leak_into_output(self):
         # Poison the arena pool, then run a gate whose writer lists leave
-        # some buffer slices untouched: the result must still match.
+        # some buffer tiles untouched: the result must still match.
         n = 5
         threads = 4
         pkg = DDPackage(n)
         plans = _plan_cache(pkg, threads)
-        arena = BufferArena(1 << n)
+        arena = BufferArena(1 << n, tiles=threads)
         for buf in arena.partials(threads):
             buf.fill(1e9 + 1e9j)
         v = random_state(n, seed=13)
         m = build_gate_dd(pkg, Gate("cx", (0,), (n - 1,)))
         plan = plans.get(m)
-        out = np.full(1 << n, 1e9 + 0j)
-        bufs = arena.partials(plan.assignment.num_buffers)
-        w, _ = dmav_cached(
-            pkg, m, v, threads, out=out, assignment=plan.assignment,
-            buffers=bufs, writers=plan.writers, out_dirty=True,
-            direct=plan.direct, direct_out=plan.direct_out,
+        w, _ = _planned(
+            dmav_cached, pkg, [plan], v, threads, 1e9 + 0j,
+            buffers=arena.partials(plan.assignment.num_buffers),
         )
-        np.testing.assert_allclose(w, matrix_to_dense(pkg, m) @ v, atol=1e-10)
-
-    def test_planned_cached_requires_writers(self):
-        pkg = DDPackage(4)
-        v = random_state(4, seed=1)
-        m = single_qubit_gate(pkg, H, 0)
-        with pytest.raises(ValueError):
-            dmav_cached(
-                pkg, m, v, 2, out=np.zeros_like(v),
-                buffers=[np.zeros_like(v), np.zeros_like(v)],
-            )
+        np.testing.assert_allclose(
+            w[0], matrix_to_dense(pkg, m) @ v, atol=1e-10
+        )
 
     def test_planned_cached_rejects_short_buffer_list(self):
         pkg = DDPackage(4)
@@ -445,33 +496,60 @@ class TestPlannedExecution:
         plan = plans.get(m)
         assert plan.assignment.num_buffers == 2
         with pytest.raises(ValueError):
-            dmav_cached(
-                pkg, m, v, 2, out=np.zeros_like(v),
-                assignment=plan.assignment, buffers=[np.zeros_like(v)],
-                writers=plan.writers,
+            _planned(
+                dmav_cached, pkg, [plan], v, 2, 0j,
+                buffers=[np.zeros((2, 1, 8), dtype=np.complex128)],
             )
+
+    def test_planned_rejects_mismatched_batches(self):
+        pkg = DDPackage(4)
+        plan = _plan_cache(pkg, 2).get(single_qubit_gate(pkg, H, 0))
+        v3 = random_state(4, seed=3).reshape(2, 1, 8)
+        with pytest.raises(ValueError, match="input batch"):
+            dmav_nocache(
+                pkg, None, v3, 2, out=np.empty_like(v3), plans=[plan, plan]
+            )
+        with pytest.raises(ValueError, match="output batch"):
+            dmav_nocache(pkg, None, v3, 2, plans=[plan])
+        with pytest.raises(ValueError, match="over the input"):
+            dmav_nocache(pkg, None, v3, 2, out=v3, plans=[plan])
 
 
 class TestBufferArena:
     def test_output_allocated_once_then_recycled(self):
-        arena = BufferArena(8)
+        arena = BufferArena(8, tiles=2)
         first, dirty = arena.output()
         assert not dirty
+        assert first.shape == (2, 1, 4)
         assert np.all(first == 0)
-        consumed = np.arange(8, dtype=np.complex128)
+        consumed = np.arange(8, dtype=np.complex128).reshape(2, 1, 4)
         arena.retire(consumed)
         second, dirty = arena.output()
         assert dirty
         assert second is consumed
         assert arena.output_allocs == 1
 
+    def test_buffers_are_tile_major(self):
+        arena = BufferArena(16, tiles=4, rows=3)
+        out, _ = arena.output()
+        assert out.shape == (4, 3, 4)
+        assert [b.shape for b in arena.partials(2)] == [(4, 3, 4)] * 2
+        # One row is the flat state's own layout: a view, not a copy.
+        state = np.arange(16, dtype=np.complex128)
+        one = BufferArena(16, tiles=4)
+        view = state.reshape(one.output()[0].shape)
+        assert np.shares_memory(view, state)
+        one.retire(view)
+
     def test_retire_validates_shape(self):
         arena = BufferArena(8)
         with pytest.raises(ValueError):
             arena.retire(np.zeros(4, dtype=np.complex128))
+        with pytest.raises(ValueError):
+            arena.retire(np.zeros(8, dtype=np.complex128))
 
     def test_partial_pool_grows_once_then_reuses(self):
-        arena = BufferArena(8)
+        arena = BufferArena(8, tiles=2)
         first = arena.partials(2)
         assert arena.partial_allocs == 2 and arena.partial_reuses == 0
         again = arena.partials(2)
@@ -484,6 +562,10 @@ class TestBufferArena:
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             BufferArena(0)
+        with pytest.raises(ValueError):
+            BufferArena(8, tiles=3)
+        with pytest.raises(ValueError):
+            BufferArena(8, rows=0)
 
 
 class TestGateSequences:

@@ -204,6 +204,19 @@ def test_cache_policies_bit_identical(policy, dense_level):
     _assert_rows_identical(sim, c, rows, result)
 
 
+def _divergent_rows():
+    """An n=8 circuit whose zero-angle rows make some border nodes the
+    identity while other rows' are not."""
+    c = Circuit(8, name="divergent-rows")
+    for q in range(8):
+        c.h(q)
+    c.cx(0, 1)
+    c.ry(0.0, 0)
+    c.rz(0.0, 3)
+    c.cx(2, 5)
+    return c, [(0.0, 0.3), (0.3, 0.0), (0.3, 0.3), (1.1, 0.2)]
+
+
 @pytest.mark.parametrize("policy", ["auto", "always", "never"])
 def test_structurally_divergent_rows_fall_back_per_row(policy, monkeypatch):
     """Rows whose gate DDs differ in shape below the border level.
@@ -221,14 +234,7 @@ def test_structurally_divergent_rows_fall_back_per_row(policy, monkeypatch):
         return rowwise(*args, **kwargs)
 
     monkeypatch.setattr(dmav, "_lockstep_rowwise", counted)
-    c = Circuit(8, name="divergent-rows")
-    for q in range(8):
-        c.h(q)
-    c.cx(0, 1)
-    c.ry(0.0, 0)
-    c.rz(0.0, 3)
-    c.cx(2, 5)
-    rows = [(0.0, 0.3), (0.3, 0.0), (0.3, 0.3), (1.1, 0.2)]
+    c, rows = _divergent_rows()
     sim = FlatDDSimulator(threads=2, cache_policy=policy, force_convert_at=0)
     result = sim.simulate_sweep(c, rows)
     counters = result.metadata["obs"]["counters"]
@@ -236,6 +242,99 @@ def test_structurally_divergent_rows_fall_back_per_row(policy, monkeypatch):
     assert counters["dmav.sweep.gates_batched"] > 0
     assert counters["dmav.sweep.gates_rowloop"] == 0
     _assert_rows_identical(sim, c, rows, result)
+
+
+def _two_group_rows(n=7, seed=21):
+    """Rows of ``_template(n)`` that vary the final rz column and split
+    into two prefix groups on the leading ry angle.  At n=7 the EWMA
+    trigger fires mid-circuit, so every group converts."""
+    c = _template(n=n, layers=2)
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-np.pi, np.pi, c.num_param_slots)
+    rows = []
+    for i in range(4):
+        row = base.copy()
+        row[-n:] = rng.uniform(-np.pi, np.pi, n)
+        row[0] = 0.3 if i % 2 else -1.1
+        rows.append(tuple(row))
+    return c, rows
+
+
+@pytest.mark.parametrize("policy", ["auto", "always", "never"])
+def test_thread_pool_sweep_bit_identical(policy):
+    """Planned DMAV dispatches each thread's tiles on the pool: a pooled
+    converting multi-group sweep equals the inline one byte for byte, and
+    every row equals its own run()."""
+    c, rows = _two_group_rows()
+    kw = dict(threads=4, cache_policy=policy, dense_block_level=0)
+    inline = FlatDDSimulator(**kw).simulate_sweep(c, rows)
+    sim = FlatDDSimulator(use_thread_pool=True, **kw)
+    pooled = sim.simulate_sweep(c, rows)
+    assert pooled.metadata["groups"] == 2
+    assert pooled.metadata["conversion_gate_index"] is not None
+    assert pooled.metadata["gates_batched"] > 0
+    assert pooled.states.tobytes() == inline.states.tobytes()
+    _assert_rows_identical(sim, c, rows, pooled)
+
+
+@pytest.mark.parametrize(
+    "policy,name", [("always", "dmav_cached"), ("never", "dmav_nocache")]
+)
+def test_batched_columns_call_the_dmav_entry_points(policy, name, monkeypatch):
+    """Every batched gate column is one call of the module-global DMAV
+    name, with the whole ``(threads, rows, h)`` batch as the third
+    positional argument -- the call site layer tracing wraps."""
+    from repro.core import sweep
+
+    calls = []
+    for attr in ("dmav_cached", "dmav_nocache"):
+        real = getattr(sweep, attr)
+
+        def counted(*args, _real=real, _attr=attr, **kwargs):
+            calls.append((_attr, args[2].shape, len(kwargs["plans"])))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, attr, counted)
+    c, rows = _two_group_rows()
+    sim = FlatDDSimulator(threads=2, cache_policy=policy)
+    result = sim.simulate_sweep(c, rows)
+    md = result.metadata
+    assert md["gates_rowloop"] == 0
+    assert len(calls) == md["gates_batched"] > 0
+    assert {attr for attr, _, _ in calls} == {name}
+    # Two groups of two rows each.
+    assert {(shape, k) for _, shape, k in calls} == {((2, 2, 64), 2)}
+
+
+@pytest.mark.parametrize(
+    "case,fusion",
+    [("groups", "none"), ("groups", "koperations"), ("divergent", "none")],
+)
+def test_sweep_reports_run_dmav_metadata(case, fusion):
+    """Batched and fusion-fallback sweeps report row 0's conversion gate
+    and the per-row DMAV totals that each row's own run() reports (the
+    divergent rows' plans differ in MACs)."""
+    if case == "groups":
+        c, rows = _two_group_rows()
+        sim = FlatDDSimulator(threads=2, fusion=fusion)
+    else:
+        c, rows = _divergent_rows()
+        sim = FlatDDSimulator(threads=2, force_convert_at=0)
+    result = sim.simulate_sweep(c, rows)
+    runs = [sim.run(c.bind(row)) for row in rows]
+    md = result.metadata
+    assert md["conversion_gate_index"] is not None
+    assert md["conversion_gate_index"] == (
+        runs[0].metadata["conversion_gate_index"]
+    )
+    macs = sum(r.metadata["dmav_macs_total"] for r in runs)
+    assert md["dmav_macs_total"] == macs > 0
+    counters = md["obs"]["counters"]
+    for key in ("dmav.gates", "dmav.macs", "dmav.cache_hits"):
+        assert counters[key] == sum(
+            r.metadata["obs"]["counters"][key] for r in runs
+        ), key
+    assert counters["dmav.gates"] > 0
 
 
 def test_ewma_timed_sweep_matches_runs():

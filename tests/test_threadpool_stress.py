@@ -6,6 +6,8 @@ the pooled execution mode across backends, thread counts, and repeated
 runs on one shared simulator instance.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.core.conversion import convert_parallel
 from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.dd import DDPackage, matrix_to_dense, vector_from_array
 from repro.backends.gatecache import build_gate_dd
-from repro.circuits import Gate
+from repro.circuits import Circuit, Gate
 from repro.parallel.pool import TaskRunner
 
 from tests.conftest import random_state
@@ -52,6 +54,37 @@ class TestPooledFlatDD:
         states = [sim.run(c).state for _ in range(5)]
         for s in states[1:]:
             np.testing.assert_allclose(s, states[0], atol=0)
+
+
+    @pytest.mark.parametrize("policy", ["always", "never"])
+    def test_pooled_sweep_matches_inline_under_switch_pressure(self, policy):
+        """Batched sweep tiles on 8 pool threads (more than the cores)
+        with a shortened switch interval: a lost or overlapping tile
+        write changes the batch bytes."""
+        c = Circuit(8, name="pooled-sweep")
+        for q in range(8):
+            c.h(q)
+        for q in range(8):
+            c.ry(0.0, q)
+        for q in range(7):
+            c.cx(q, q + 1)
+        rng = np.random.default_rng(5)
+        rows = [tuple(rng.uniform(-np.pi, np.pi, 8)) for _ in range(6)]
+        kw = dict(
+            threads=8, cache_policy=policy, force_convert_at=0,
+            dense_block_level=0,
+        )
+        inline = FlatDDSimulator(**kw).simulate_sweep(c, rows)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = FlatDDSimulator(
+                use_thread_pool=True, **kw
+            ).simulate_sweep(c, rows)
+        finally:
+            sys.setswitchinterval(old)
+        assert pooled.metadata["gates_batched"] > 0
+        assert pooled.states.tobytes() == inline.states.tobytes()
 
 
 class TestPooledKernels:
